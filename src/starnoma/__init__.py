@@ -17,18 +17,7 @@ from .analytic import (
     q_exact,
     sign_combinations,
 )
-from .channel import (
-    ChannelRealization,
-    PathLossParams,
-    SubsurfaceAllocation,
-    align_all,
-    align_phases,
-    cascaded_gain,
-    clt_moments,
-    interference_coefficient,
-    path_gain,
-    sample_realization,
-)
+from .channel import PathLossParams, SubsurfaceAllocation, clt_moments, path_gain
 from .engine import (
     BerEstimate,
     ScenarioConfig,
@@ -49,10 +38,4 @@ from .errors import (
     StarNomaError,
     UnsupportedScenarioError,
 )
-from .noma import (
-    DetectionOutcome,
-    PowerAllocation,
-    mld_detect,
-    sic_receive,
-    superpose,
-)
+from .noma import PowerAllocation

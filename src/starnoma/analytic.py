@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedScenarioError,
 )
 from .noma import PowerAllocation
+from .rules import count, positive
 
 # Coherent BPSK over circularly symmetric disturbance: only half of the
 # complex noise-plus-interference power lands on the decision axis, so the
@@ -90,10 +91,8 @@ class UserAnalyticParams:
     def __post_init__(self) -> None:
         if not 0 <= self.index < self.alloc.n_users:
             raise InvalidParameterError(f"user index {self.index} out of range")
-        if self.own_elements < 0 or self.zone_elements < self.own_elements:
-            raise InvalidParameterError("zone must contain at least the user's own elements")
-        if not self.overall_gain > 0:
-            raise InvalidParameterError("overall path gain must be positive")
+        count("zone_elements", self.zone_elements, count("own_elements", self.own_elements))
+        positive("overall_gain", self.overall_gain)
 
     @property
     def n_users(self) -> int:
@@ -287,8 +286,6 @@ def ber_closed_form(params: UserAnalyticParams, snr: float,
     expressed through the scaled complementary error function; the only
     gap versus ``ber_numeric`` is the fit's own accuracy.
     """
-    if snr < 0:
-        raise InvalidParameterError("snr must be nonnegative")
     return _closed_form_sum(params, effective_snr(params, snr), coeffs)
 
 

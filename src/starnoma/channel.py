@@ -1,21 +1,22 @@
 """Two-hop Rayleigh fading model for a surface-assisted downlink.
 
 The surface is split into per-user subsurfaces, each operating either in
-transmission or reflection mode.  This module samples the BS-side and
-user-side fading vectors, applies per-subsurface phase configurations,
-and exposes the Gaussian (central-limit) moments of the phase-aligned
-cascaded gain.
+transmission or reflection mode.  This module holds the path loss and the
+subsurface split, samples batches of the phase-aligned cascaded gain, and
+exposes its Gaussian (central-limit) moments.  The per-element reference
+model lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .rules import count, nonnegative, one_of, positive
 
 TRANSMISSION = "transmission"
 REFLECTION = "reflection"
@@ -33,11 +34,7 @@ def path_gain(distance: float, exponent: float) -> float:
     The overall two-hop gain of a BS-surface-user link is the product of
     the two per-hop gains.
     """
-    if not distance > 0:
-        raise InvalidParameterError(f"distance must be positive, got {distance}")
-    if exponent < 0:
-        raise InvalidParameterError(f"exponent must be nonnegative, got {exponent}")
-    return float(distance) ** (-float(exponent))
+    return positive("distance", distance) ** -nonnegative("exponent", exponent)
 
 
 @dataclass(frozen=True)
@@ -50,12 +47,10 @@ class PathLossParams:
     ris_user_exponent: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.bs_ris_distance > 0:
-            raise InvalidParameterError("bs_ris_distance must be positive")
-        if not self.ris_user_distance > 0:
-            raise InvalidParameterError("ris_user_distance must be positive")
-        if self.bs_exponent < 0 or self.ris_user_exponent < 0:
-            raise InvalidParameterError("path loss exponents must be nonnegative")
+        positive("bs_ris_distance", self.bs_ris_distance)
+        positive("ris_user_distance", self.ris_user_distance)
+        nonnegative("bs_exponent", self.bs_exponent)
+        nonnegative("ris_user_exponent", self.ris_user_exponent)
 
     def bs_gain(self) -> float:
         return path_gain(self.bs_ris_distance, self.bs_exponent)
@@ -80,13 +75,10 @@ class SubsurfaceAllocation:
             raise InvalidParameterError("counts and zones must have equal length")
         if not self.counts:
             raise InvalidParameterError("allocation needs at least one user")
-        for n in self.counts:
-            if int(n) != n or n < 0:
-                raise InvalidParameterError(f"element count must be a nonnegative integer, got {n}")
-        for z in self.zones:
-            if z not in ZONES:
-                raise InvalidParameterError(f"zone must be one of {ZONES}, got {z!r}")
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+        for i, z in enumerate(self.zones):
+            one_of(f"zones[{i}]", z, ZONES)
+        object.__setattr__(self, "counts", tuple(
+            count(f"counts[{i}]", n) for i, n in enumerate(self.counts)))
 
     @property
     def n_users(self) -> int:
@@ -118,111 +110,13 @@ class SubsurfaceAllocation:
         return tuple(i for i, z in enumerate(self.zones) if z == zone and i != user)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of every fading vector plus the surface phase configuration.
-
-    ``bs_vectors[i]`` is the BS-to-subsurface-i vector (length ``counts[i]``),
-    ``user_vectors[(k, i)]`` the subsurface-i-to-user-k vector for every
-    subsurface in user k's own zone, and ``phases[i]`` the applied phase of
-    each element of subsurface i.
-    """
-
-    alloc: SubsurfaceAllocation
-    bs_vectors: Tuple[np.ndarray, ...]
-    user_vectors: Dict[Tuple[int, int], np.ndarray]
-    phases: Tuple[np.ndarray, ...]
-
-    def with_phases(self, user: int, theta: np.ndarray) -> "ChannelRealization":
-        new = list(self.phases)
-        new[user] = np.asarray(theta, dtype=float)
-        return replace(self, phases=tuple(new))
-
-
-def _complex_normal(rng: np.random.Generator, variance: float, size: int) -> np.ndarray:
-    # Circularly symmetric: variance split evenly between the two parts.
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-
-
-def sample_realization(
-    alloc: SubsurfaceAllocation,
-    path_loss: Sequence[PathLossParams],
-    rng: np.random.Generator,
-) -> ChannelRealization:
-    """Draw all fading vectors for one coherence interval.
-
-    Every BS-side entry is i.i.d. complex Gaussian with per-entry variance
-    equal to the BS-hop gain; every user-side entry uses the receiving
-    user's own second-hop gain.  Phases start at zero.
-    """
-    if len(path_loss) != alloc.n_users:
-        raise InvalidParameterError("one PathLossParams per user required")
-    bs_vectors = tuple(
-        _complex_normal(rng, path_loss[i].bs_gain(), alloc.counts[i])
-        for i in range(alloc.n_users)
-    )
-    user_vectors: Dict[Tuple[int, int], np.ndarray] = {}
-    for k in range(alloc.n_users):
-        gain = path_loss[k].user_gain()
-        for i in (k, *alloc.co_zone_users(k)):
-            user_vectors[(k, i)] = _complex_normal(rng, gain, alloc.counts[i])
-    phases = tuple(np.zeros(n) for n in alloc.counts)
-    return ChannelRealization(alloc, bs_vectors, user_vectors, phases)
-
-
-def align_phases(realization: ChannelRealization, user: int) -> np.ndarray:
-    """Phase vector that makes user's own cascade real and maximal.
-
-    Each element's phase cancels the composite phase of its BS-side and
-    user-side coefficients, so the subsurface response becomes the sum of
-    amplitude products.
-    """
-    h = realization.bs_vectors[user]
-    g = realization.user_vectors[(user, user)]
-    theta = -(np.angle(h) + np.angle(g))
-    return np.mod(theta, 2.0 * math.pi)
-
-
-def align_all(realization: ChannelRealization) -> ChannelRealization:
-    """Align every subsurface to the user it serves."""
-    out = realization
-    for k in range(realization.alloc.n_users):
-        out = out.with_phases(k, align_phases(realization, k))
-    return out
-
-
-def subsurface_response(realization: ChannelRealization, user: int, subsurface: int) -> complex:
-    """Composite coefficient of one subsurface as seen by one user."""
-    h = realization.bs_vectors[subsurface]
-    g = realization.user_vectors[(user, subsurface)]
-    theta = realization.phases[subsurface]
-    return complex(np.sum(g * np.exp(1j * theta) * h))
-
-
-def cascaded_gain(realization: ChannelRealization, user: int) -> float:
-    """Magnitude of the user's own (aligned) subsurface response."""
-    return abs(subsurface_response(realization, user, user))
-
-
-def interference_coefficient(realization: ChannelRealization, user: int) -> complex:
-    """Sum of the other same-zone subsurface responses seen by ``user``.
-
-    Users alone in their zone get exactly 0j; the opposite part never
-    contributes under mode switching.
-    """
-    total = 0j
-    for i in realization.alloc.co_zone_users(user):
-        total += subsurface_response(realization, user, i)
-    return total
-
-
 def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
                          size: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of aligned cascaded gains, one per realization.
 
-    Law-equivalent to sampling a realization, aligning the user's own
-    subsurface and taking :func:`cascaded_gain`: the aligned response is
+    Law-equivalent to sampling a per-element realization, aligning the
+    user's own subsurface and taking the magnitude of its response (the
+    reference model in ``tests/oracles.py``): the aligned response is
     the sum of per-element products of the two hop amplitudes, which are
     Rayleigh with scales ``sqrt(gain/2)``.
     """
@@ -230,25 +124,6 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
         return np.zeros(size)
     h = rng.rayleigh(math.sqrt(bs_gain / 2.0), (size, elements))
     g = rng.rayleigh(math.sqrt(user_gain / 2.0), (size, elements))
-    return (h * g).sum(axis=1)
-
-
-def sample_interference_batch(bs_gain: float, user_gain: float, elements: int,
-                              size: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of composite same-zone leakage coefficients.
-
-    Each leaking element contributes its BS-side amplitude times a fresh
-    circularly symmetric coefficient: the element's phase is aligned to a
-    user other than the observer, and rotating the observer's independent
-    second-hop coefficient by that phase leaves its law unchanged.  This
-    matches :func:`interference_coefficient` on aligned realizations.
-    """
-    if elements == 0:
-        return np.zeros(size, dtype=complex)
-    h = rng.rayleigh(math.sqrt(bs_gain / 2.0), (size, elements))
-    scale = math.sqrt(user_gain / 2.0)
-    g = scale * (rng.standard_normal((size, elements))
-                 + 1j * rng.standard_normal((size, elements)))
     return (h * g).sum(axis=1)
 
 
@@ -260,12 +135,9 @@ def clt_moments(overall_gain: float, elements: int) -> Tuple[float, float]:
     ``(pi/4) * sqrt(overall_gain) * elements`` and variance
     ``(1 - pi^2/16) * overall_gain * elements``.
     """
-    if elements < 0:
-        raise InvalidParameterError("element count must be nonnegative")
-    if elements == 0:
+    if count("elements", elements) == 0:
         return 0.0, 0.0
-    if not overall_gain > 0:
-        raise InvalidParameterError("overall gain must be positive")
+    positive("overall_gain", overall_gain)
     mean = _MEAN_FACTOR * math.sqrt(overall_gain) * elements
     variance = _VAR_FACTOR * overall_gain * elements
     return mean, variance

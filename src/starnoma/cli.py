@@ -15,7 +15,9 @@ Configs are flat JSON with three sections::
 
 Users are numbered from 1 in configs, options and outputs; indices are
 zero-based inside the package.  Exit codes: 0 success, 1 validation
-failure, 2 runtime/numeric failure.
+failure (including NaN or infinite input), 2 runtime/numeric failure.
+Outputs are written to a temporary file and renamed into place, so a
+failed run leaves earlier outputs untouched.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -33,21 +36,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__, presets
 from .engine import (
     AXES,
-    CLASSICAL_VARIANT,
     SNR_AXIS,
-    STAR_VARIANT,
-    VARIANTS,
-    BerEstimate,
     ScenarioConfig,
     StoppingRule,
     SweepResult,
     UserSpec,
-    ordering_warnings,
-    run_ber_point,
-    run_classical_point,
     run_sweep,
 )
 from .errors import ConfigError, NumericError, StarNomaError
+from .rules import count, number, power_coefficients
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
@@ -69,7 +66,8 @@ _USER_FIELDS = {
     "classical_distance": float,
 }
 _USER_REQUIRED = ("distance", "zone", "elements", "power_coefficient")
-_SWEEP_FIELDS = {"axis": str, "values": list, "users": list, "snr_db": float}
+# A one-element list means a list whose entries are each of that type.
+_SWEEP_FIELDS = {"axis": str, "values": [float], "users": [int], "snr_db": float}
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +75,11 @@ _SWEEP_FIELDS = {"axis": str, "values": list, "users": list, "snr_db": float}
 
 
 def _coerce(section: str, field: str, value, kind):
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{section}.{field}: not a list (got {value!r})")
+        return [_coerce(section, f"{field}[{i}]", v, kind[0])
+                for i, v in enumerate(value)]
     try:
         if kind is float:
             return float(value)
@@ -87,10 +90,6 @@ def _coerce(section: str, field: str, value, kind):
         if kind is str:
             if not isinstance(value, str):
                 raise ValueError("not a string")
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ValueError("not a list")
             return value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}.{field}: {exc} (got {value!r})") from exc
@@ -136,24 +135,21 @@ def parse_config(raw: Dict) -> Tuple[ScenarioConfig, Optional[Dict]]:
                   for k, v in u.items()}
         users.append(UserSpec(**kwargs))
 
-    try:
-        config = ScenarioConfig(users=tuple(users), **sys_kwargs)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(f"system: {exc}") from exc
+    config = ScenarioConfig(users=tuple(users), **sys_kwargs)
 
     sweep = raw.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep: expected an object")
-        unknown = set(sweep) - set(_SWEEP_FIELDS)
-        if unknown:
-            raise ConfigError(f"sweep: unknown field(s) {sorted(unknown)}")
-    return config, sweep
+    if sweep is None:
+        return config, None
+    if not isinstance(sweep, dict):
+        raise ConfigError("sweep: expected an object")
+    unknown = set(sweep) - set(_SWEEP_FIELDS)
+    if unknown:
+        raise ConfigError(f"sweep: unknown field(s) {sorted(unknown)}")
+    # run_sweep checks the values against their rules before any trial runs.
+    return config, {k: _coerce("sweep", k, v, _SWEEP_FIELDS[k]) for k, v in sweep.items()}
 
 
-def load_config(path: str) -> Tuple[ScenarioConfig, Optional[Dict], Dict]:
+def load_config(path: str) -> Tuple[ScenarioConfig, Optional[Dict]]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -164,8 +160,7 @@ def load_config(path: str) -> Tuple[ScenarioConfig, Optional[Dict], Dict]:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    config, sweep = parse_config(raw)
-    return config, sweep, raw
+    return parse_config(raw)
 
 
 def config_to_dict(config: ScenarioConfig) -> Dict:
@@ -175,18 +170,8 @@ def config_to_dict(config: ScenarioConfig) -> Dict:
         if d["classical_distance"] is None:
             del d["classical_distance"]
         users.append(d)
-    return {
-        "system": {
-            "variant": config.variant,
-            "bs_ris_distance": config.bs_ris_distance,
-            "bs_exponent": config.bs_exponent,
-            "ris_user_exponent": config.ris_user_exponent,
-            "transmit_power": config.transmit_power,
-            "sic_mode": config.sic_mode,
-            "classical_exponent": config.classical_exponent,
-        },
-        "users": users,
-    }
+    return {"system": {k: getattr(config, k) for k in _SYSTEM_FIELDS},
+            "users": users}
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -225,18 +210,29 @@ def sweep_rows(result: SweepResult) -> List[Tuple]:
     return rows
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it into
+    place, so an interrupted or failed run never leaves a partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_sweep_csv(result: SweepResult, path: Path) -> None:
     lines = [CSV_HEADER]
     for row in sweep_rows(result):
         lines.append(",".join(str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:
     header = CSV_HEADER.split(",")
     rows = [dict(zip(header, row)) for row in sweep_rows(result)]
     doc = {"axis": result.axis, "rows": rows}
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def collect_notes(result: SweepResult) -> List[str]:
@@ -260,14 +256,19 @@ def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
         "outputs": [str(p) for p in outputs],
         "warnings": list(warnings_list),
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _check_writable(path: Path) -> None:
+    """Fail before any computation if ``path`` cannot be written; the probe
+    is a file beside it, so an existing output stays as it is."""
+    probe = path.with_name(f".{path.name}.{os.getpid()}.probe")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w"):
-            pass
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+        probe.touch()
+        probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output path {path} is not writable: {exc}") from exc
 
@@ -306,21 +307,19 @@ def _parse_allocations(text: str) -> List[Tuple[float, float]]:
 
 
 def _rule_from_args(args) -> StoppingRule:
-    return StoppingRule(min_errors=args.min_errors, max_trials=args.max_trials)
+    return StoppingRule(min_errors=count("--min-errors", args.min_errors, 1),
+                        max_trials=count("--max-trials", args.max_trials, 1))
 
 
 def cmd_point(args) -> int:
-    config, _, _ = load_config(args.config)
+    config, _ = load_config(args.config)
     rule = _rule_from_args(args)
     users = ([args.user - 1] if args.user is not None
              else list(range(config.n_users)))
-    for u in users:
-        if not 0 <= u < config.n_users:
-            raise ConfigError(f"--user: index {u + 1} out of range 1..{config.n_users}")
-    for w in ordering_warnings(config):
-        print(f"warning: {w}", file=sys.stderr)
-    result = run_sweep(config, SNR_AXIS, [args.snr_db], users, rule,
+    result = run_sweep(config, SNR_AXIS, [number("--snr-db", args.snr_db)], users, rule,
                        seed=args.seed, workers=args.workers)
+    for w in result.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     for cell in result.cells:
         est = cell.estimate
         print(f"user={cell.user + 1} ber_mc={_fmt_ber(est.ber)} "
@@ -335,15 +334,11 @@ def cmd_point(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, sweep_section, _ = load_config(args.config)
+    config, sweep_section = load_config(args.config)
     sweep_section = sweep_section or {}
     axis = args.axis or sweep_section.get("axis")
-    if axis not in AXES:
-        raise ConfigError(f"--axis: one of {AXES} required (via flag or config)")
     values = (args.values if args.values is not None
-              else sweep_section.get("values"))
-    if not values:
-        raise ConfigError("--values: required (via flag or config sweep.values)")
+              else sweep_section.get("values", ()))
     users_1based = (args.users if args.users is not None
                     else sweep_section.get("users")
                     or list(range(1, config.n_users + 1)))
@@ -354,7 +349,7 @@ def cmd_sweep(args) -> int:
     _check_writable(out)
 
     rule = _rule_from_args(args)
-    result = run_sweep(config, axis, [float(v) for v in values], users, rule,
+    result = run_sweep(config, axis, values, users, rule,
                        seed=args.seed, snr_db=snr_db, workers=args.workers)
     if args.format == "csv":
         write_sweep_csv(result, out)
@@ -369,23 +364,26 @@ def cmd_sweep(args) -> int:
 
 def _figure_plan(args) -> presets.FigurePlan:
     name = args.name
-    snr_values = args.snr_values
+    snr_values = [number(f"--snr-values[{i}]", v)
+                  for i, v in enumerate(args.snr_values or ())]
+    allocations = [power_coefficients(f"--allocations[{j}][{{}}]", pair)
+                   for j, pair in enumerate(args.allocations or ())]
     if name == "fig2":
         counts = args.elements or [25, 50, 75]
         return presets.fig2(element_counts=counts, snr_values=snr_values)
     if name == "fig3":
         missing = []
-        if not args.allocations:
+        if not allocations:
             missing.append("--allocations (power splits per curve)")
         if not args.elements:
             missing.append("--elements (subsurface sizes per curve)")
         if missing:
             raise ConfigError(
                 "fig3 leaves these parameters open; pass " + " and ".join(missing))
-        return presets.fig3(args.allocations, args.elements, snr_values)
+        return presets.fig3(allocations, args.elements, snr_values)
     if name == "fig4":
-        allocations = args.allocations or [(0.7, 0.3), (0.8, 0.2)]
-        return presets.fig4(allocations, args.elements, snr_db=args.fixed_snr_db)
+        return presets.fig4(allocations or [(0.7, 0.3), (0.8, 0.2)], args.elements,
+                            snr_db=number("--fixed-snr-db", args.fixed_snr_db))
     if name == "fig5":
         if not args.elements:
             raise ConfigError("fig5 leaves the per-user element split open; "

@@ -26,24 +26,24 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analytic
 from .analytic import UserAnalyticParams
 from .channel import (
-    REFLECTION,
-    TRANSMISSION,
     ZONES,
     PathLossParams,
     SubsurfaceAllocation,
     clt_moments,
+    path_gain,
     sample_cascade_batch,
 )
 from .errors import ConfigError, InvalidParameterError, NoErrorFloor, NumericError
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
+from .rules import count, nonnegative, number, one_of, positive, power_coefficients
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -94,38 +94,20 @@ class ScenarioConfig:
     classical_exponent: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"system.variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.sic_mode not in SIC_MODES:
-            raise ConfigError(f"system.sic_mode must be one of {SIC_MODES}, got {self.sic_mode!r}")
-        if not self.users:
-            raise ConfigError("users: at least one user required")
-        if not self.bs_ris_distance > 0:
-            raise ConfigError("system.bs_ris_distance must be positive")
-        if not self.transmit_power > 0:
-            raise ConfigError("system.transmit_power must be positive")
+        one_of("system.variant", self.variant, VARIANTS)
+        one_of("system.sic_mode", self.sic_mode, SIC_MODES)
+        positive("system.bs_ris_distance", self.bs_ris_distance)
+        positive("system.transmit_power", self.transmit_power)
         for name in ("bs_exponent", "ris_user_exponent", "classical_exponent"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"system.{name} must be nonnegative")
+            nonnegative(f"system.{name}", getattr(self, name))
         for i, u in enumerate(self.users):
-            if not u.distance > 0:
-                raise ConfigError(f"users[{i}].distance must be positive")
-            if u.zone not in ZONES:
-                raise ConfigError(f"users[{i}].zone must be one of {ZONES}, got {u.zone!r}")
-            if int(u.elements) != u.elements or u.elements < 0:
-                raise ConfigError(f"users[{i}].elements must be a nonnegative integer")
-            if u.classical_distance is not None and not u.classical_distance > 0:
-                raise ConfigError(f"users[{i}].classical_distance must be positive")
-        coeffs = [u.power_coefficient for u in self.users]
-        if abs(sum(coeffs) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"users[*].power_coefficient must sum to 1, got {sum(coeffs)!r}")
-        for i in range(len(coeffs) - 1):
-            if coeffs[i] < coeffs[i + 1]:
-                raise ConfigError(
-                    f"users[{i}].power_coefficient must not be smaller than users[{i + 1}]'s")
-        if coeffs[-1] <= 0:
-            raise ConfigError("users[*].power_coefficient must be positive")
+            positive(f"users[{i}].distance", u.distance)
+            one_of(f"users[{i}].zone", u.zone, ZONES)
+            count(f"users[{i}].elements", u.elements)
+            if u.classical_distance is not None:
+                positive(f"users[{i}].classical_distance", u.classical_distance)
+        power_coefficients("users[{}].power_coefficient",
+                           [u.power_coefficient for u in self.users])
 
     @property
     def n_users(self) -> int:
@@ -151,7 +133,7 @@ class ScenarioConfig:
         if d is None:
             raise ConfigError(f"users[{user}].classical_distance is required "
                               "for the classical variant")
-        return d ** (-self.classical_exponent)
+        return path_gain(d, self.classical_exponent)
 
     def analytic_params(self, user: int) -> UserAnalyticParams:
         if self.variant != STAR_VARIANT:
@@ -199,12 +181,10 @@ class StoppingRule:
     target_ci_width: Optional[float] = None  # relative to the point estimate
 
     def __post_init__(self) -> None:
-        if self.min_errors < 1:
-            raise InvalidParameterError("min_errors must be at least 1")
-        if self.max_trials < 1:
-            raise InvalidParameterError("max_trials must be at least 1")
-        if self.target_ci_width is not None and not self.target_ci_width > 0:
-            raise InvalidParameterError("target_ci_width must be positive")
+        count("min_errors", self.min_errors, 1)
+        count("max_trials", self.max_trials, 1)
+        if self.target_ci_width is not None:
+            positive("target_ci_width", self.target_ci_width)
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[float, float]:
@@ -237,15 +217,19 @@ class BerEstimate:
     stream_key: Tuple[int, ...]
     block_size: int
     blocks: int
-    underflow: bool = False
+
+    @property
+    def underflow(self) -> bool:
+        """No errors observed, so the interval is one-sided."""
+        return self.errors == 0
 
     @staticmethod
     def from_counts(errors: int, trials: int, seed: int,
-                    stream_key: Tuple[int, ...], block_size: int, blocks: int,
-                    underflow: bool = False) -> "BerEstimate":
+                    stream_key: Tuple[int, ...], block_size: int,
+                    blocks: int) -> "BerEstimate":
         lo, hi = wilson_interval(errors, trials)
         return BerEstimate(errors, trials, errors / trials, lo, hi,
-                           seed, stream_key, block_size, blocks, underflow)
+                           seed, stream_key, block_size, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +289,7 @@ def _block_errors(plan: _TrialPlan, snr: float, rng: np.random.Generator, m: int
     if plan.co_zone_elements > 0:
         # Same-zone leakage: each element contributes (BS amplitude) times a
         # circularly symmetric second hop carrying a unit-power stream; only
-        # the real part reaches decisions (sample_interference_batch's law).
+        # the real part reaches decisions.
         shape = (m, plan.co_zone_elements)
         r = r + (rng.rayleigh(math.sqrt(plan.bs_gain / 2.0), shape)
                  * rng.normal(0.0, math.sqrt(plan.user_gain / 2.0), shape)
@@ -329,7 +313,9 @@ def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.
 def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
                stream_key: Tuple[int, ...], block_size: int,
                workers: Optional[int]) -> BerEstimate:
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = 10.0 ** (number("snr_db", snr_db) / 10.0)
+    count("seed", seed)
+    count("block_size", block_size, 1)
     n_workers = default_workers() if workers is None else max(1, workers)
 
     def run_block(b: int) -> int:
@@ -342,40 +328,26 @@ def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
     def stopped() -> bool:
         if trials >= rule.max_trials:
             return True
-        if errors >= rule.min_errors:
-            if rule.target_ci_width is None:
-                return True
-            if errors > 0:
-                lo, hi = wilson_interval(errors, trials)
-                return (hi - lo) <= rule.target_ci_width * (errors / trials)
+        if errors < rule.min_errors:
             return False
-        return False
+        if rule.target_ci_width is None:
+            return True
+        lo, hi = wilson_interval(errors, trials)
+        return (hi - lo) <= rule.target_ci_width * (errors / trials)
 
-    if n_workers == 1:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         while not stopped():
-            errors += run_block(blocks)
-            trials += block_size
-            blocks += 1
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            done = False
-            next_block = 0
-            while not done:
-                wave = list(range(next_block, next_block + n_workers))
-                for b, res in zip(wave, pool.map(run_block, wave)):
-                    # Merge strictly in index order; once a stopping rule
-                    # fires, later (speculative) blocks are discarded.
-                    if done:
-                        break
-                    errors += res
-                    trials += block_size
-                    blocks = b + 1
-                    done = stopped()
-                next_block = wave[-1] + 1
+            # Merge strictly in index order; once a stopping rule fires,
+            # the wave's later (speculative) blocks are discarded.
+            for res in pool.map(run_block, range(blocks, blocks + n_workers)):
+                errors += res
+                trials += block_size
+                blocks += 1
+                if stopped():
+                    break
 
-    underflow = errors == 0
     return BerEstimate.from_counts(errors, trials, seed, stream_key,
-                                   block_size, blocks, underflow)
+                                   block_size, blocks)
 
 
 def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,
@@ -434,10 +406,7 @@ def _config_at(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfi
     if axis == SNR_AXIS:
         return config
     if axis == ELEMENTS_AXIS:
-        n = int(value)
-        if n != value or n < 0:
-            raise ConfigError(f"sweep.values: element counts must be nonnegative "
-                              f"integers, got {value}")
+        n = count("sweep.values", value)
         users = tuple(replace(u, elements=n) for u in config.users)
         return replace(config, users=users)
     if axis == POWER_AXIS:
@@ -467,9 +436,7 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
         if config.n_users != 2:
             return nan, nan, nan, (
                 "detected-SIC analytics are derived for two users only",)
-        params_x1 = UserAnalyticParams(
-            index=0, alloc=params.alloc, overall_gain=params.overall_gain,
-            own_elements=params.own_elements, zone_elements=params.zone_elements)
+        params_x1 = replace(params, index=0)
         try:
             closed = analytic.ber_imperfect_sic(params, params_x1, snr)
         except InvalidParameterError as exc:
@@ -521,25 +488,28 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     sweeps and is ignored for SNR sweeps.  Cell-level numeric failures are
     recorded in the cell notes without aborting the sweep.
     """
-    if axis not in AXES:
-        raise ConfigError(f"sweep.axis must be one of {AXES}, got {axis!r}")
-    vals = tuple(float(v) for v in values)
+    one_of("sweep.axis", axis, AXES)
+    vals = tuple(number(f"sweep.values[{i}]", v) for i, v in enumerate(values))
     if not vals:
         raise ConfigError("sweep.values must be nonempty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("sweep.values must be strictly increasing")
-    if axis != SNR_AXIS and snr_db is None:
-        raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
+    if axis != SNR_AXIS:
+        if snr_db is None:
+            raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
+        snr_db = number("sweep.snr_db", snr_db)
     user_list = tuple(int(u) for u in users)
     for u in user_list:
         if not 0 <= u < config.n_users:
-            raise ConfigError(f"sweep.users: index {u} out of range")
+            raise ConfigError(f"sweep.users: user {u + 1} out of range "
+                              f"1..{config.n_users}")
+    # Every point's config is built (and so checked) before any trial runs.
+    point_configs = [_config_at(config, axis, value) for value in vals]
 
     warn = ordering_warnings(config)
     cells: List[SweepCell] = []
-    for vi, value in enumerate(vals):
-        point_config = _config_at(config, axis, value)
-        point_snr = value if axis == SNR_AXIS else float(snr_db)
+    for vi, (value, point_config) in enumerate(zip(vals, point_configs)):
+        point_snr = value if axis == SNR_AXIS else snr_db
         for user in user_list:
             runner = (run_ber_point if config.variant == STAR_VARIANT
                       else run_classical_point)

@@ -9,8 +9,8 @@ class InvalidParameterError(StarNomaError, ValueError):
     """A numeric or structural argument violates a precondition."""
 
 
-class ConfigError(StarNomaError, ValueError):
-    """A scenario configuration is malformed; message names the offending field."""
+class ConfigError(InvalidParameterError):
+    """A config field or option breaks its rule; the message names the field."""
 
 
 class UnsupportedScenarioError(StarNomaError):

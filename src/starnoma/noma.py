@@ -1,15 +1,13 @@
-"""Power-domain superposition transmitter and SIC/MLD receiver over BPSK."""
+"""Power-domain power split and the receiver's cancellation modes over BPSK.
+The scalar reference receiver lives with the tests (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
-
 import math
+from dataclasses import dataclass
+from typing import Tuple
 
-from .errors import InvalidParameterError
-
-_SUM_TOL = 1e-9
+from .rules import positive, power_coefficients
 
 GENIE = "genie"
 DETECTED = "detected"
@@ -24,19 +22,9 @@ class PowerAllocation:
     power: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise InvalidParameterError("at least one power coefficient required")
-        if abs(sum(self.coefficients) - 1.0) > _SUM_TOL:
-            raise InvalidParameterError(
-                f"power coefficients must sum to 1, got {sum(self.coefficients)!r}")
-        for a, b in zip(self.coefficients, self.coefficients[1:]):
-            if a < b:
-                raise InvalidParameterError("power coefficients must be non-increasing")
-        if self.coefficients[-1] <= 0:
-            raise InvalidParameterError("power coefficients must be positive")
-        if not self.power > 0:
-            raise InvalidParameterError("transmit power must be positive")
-        object.__setattr__(self, "coefficients", tuple(float(a) for a in self.coefficients))
+        object.__setattr__(self, "coefficients",
+                           power_coefficients("coefficients[{}]", self.coefficients))
+        positive("power", self.power)
 
     @property
     def n_users(self) -> int:
@@ -48,78 +36,3 @@ class PowerAllocation:
 
     def amplitudes(self) -> Tuple[float, ...]:
         return tuple(self.amplitude(k) for k in range(self.n_users))
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """Stage-by-stage decisions of one receiver.
-
-    ``stages`` holds the per-stage detections of the cancelled users in
-    decoding order; ``final`` is the receiver's own-symbol decision.  In
-    genie mode the subtraction uses the true symbols regardless of the
-    stage decisions recorded here.
-    """
-
-    stages: Tuple[int, ...]
-    final: int
-    mode: str
-
-
-def _check_symbol(x: int) -> int:
-    if x not in (1, -1):
-        raise InvalidParameterError(f"BPSK symbol must be +1 or -1, got {x}")
-    return int(x)
-
-
-def superpose(symbols: Sequence[int], alloc: PowerAllocation) -> float:
-    """Superimposed baseband sample sum_k sqrt(a_k P) x_k (real for BPSK)."""
-    if len(symbols) != alloc.n_users:
-        raise InvalidParameterError(
-            f"{alloc.n_users} symbols expected, got {len(symbols)}")
-    return sum(alloc.amplitude(k) * _check_symbol(x) for k, x in enumerate(symbols))
-
-
-def mld_detect(residual: complex, effective_gain: float, power_term: float) -> int:
-    """Minimum-distance BPSK decision.
-
-    argmin over {+1, -1} of |residual - power_term * gain * candidate|^2,
-    which reduces to the sign of the real part; exact ties resolve to +1.
-    """
-    if effective_gain < 0:
-        raise InvalidParameterError("effective gain must be nonnegative")
-    return 1 if residual.real >= 0.0 else -1
-
-
-def sic_receive(
-    y: complex,
-    user: int,
-    effective_gain: float,
-    alloc: PowerAllocation,
-    mode: str = DETECTED,
-    true_symbols: Sequence[int] | None = None,
-) -> DetectionOutcome:
-    """Cancel the stronger-power users in order, then detect the own symbol.
-
-    For each stage j < ``user`` the receiver detects x_j by minimum-distance
-    treating all remaining users as noise, then subtracts
-    sqrt(a_j P) * effective_gain times the detected symbol (``detected``
-    mode) or the true symbol (``genie`` mode).  User 0 skips cancellation.
-    """
-    if mode not in SIC_MODES:
-        raise InvalidParameterError(f"mode must be one of {SIC_MODES}, got {mode!r}")
-    if not 0 <= user < alloc.n_users:
-        raise InvalidParameterError(f"user index {user} out of range")
-    if mode == GENIE:
-        if true_symbols is None:
-            raise InvalidParameterError("genie mode requires the true symbols")
-        if len(true_symbols) < user:
-            raise InvalidParameterError("genie mode needs one true symbol per stage")
-    residual = complex(y)
-    stages = []
-    for j in range(user):
-        detected_j = mld_detect(residual, effective_gain, alloc.amplitude(j))
-        subtract = _check_symbol(true_symbols[j]) if mode == GENIE else detected_j
-        residual -= alloc.amplitude(j) * effective_gain * subtract
-        stages.append(detected_j)
-    final = mld_detect(residual, effective_gain, alloc.amplitude(user))
-    return DetectionOutcome(tuple(stages), final, mode)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import starnoma.analytic as an
-from starnoma.channel import clt_moments, sample_cascade_batch, sample_interference_batch
+from starnoma.channel import clt_moments, sample_cascade_batch
 from starnoma.cli import main
 from starnoma.engine import (
     CLASSICAL_VARIANT,
@@ -35,7 +35,7 @@ from starnoma.engine import (
     run_classical_point,
 )
 from starnoma.noma import DETECTED, GENIE, PowerAllocation
-from oracles import decision_region_oracle
+from oracles import decision_region_oracle, sample_interference_batch
 
 
 def fig2_config(n, sic_mode=GENIE):

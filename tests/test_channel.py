@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starnoma.channel import (
+from oracles import (
     ChannelRealization,
-    PathLossParams,
-    SubsurfaceAllocation,
     align_all,
     align_phases,
     cascaded_gain,
-    clt_moments,
     interference_coefficient,
-    path_gain,
-    sample_cascade_batch,
     sample_interference_batch,
     sample_realization,
     subsurface_response,
+)
+from starnoma.channel import (
+    PathLossParams,
+    SubsurfaceAllocation,
+    clt_moments,
+    path_gain,
+    sample_cascade_batch,
 )
 from starnoma.errors import InvalidParameterError
 

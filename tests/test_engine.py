@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import starnoma.analytic as analytic
-from starnoma.channel import align_all, interference_coefficient, cascaded_gain, sample_realization
+from oracles import (align_all, cascaded_gain, interference_coefficient,
+                     sample_realization, sic_receive)
 from starnoma.engine import (
     CLASSICAL_VARIANT,
     STAR_VARIANT,
@@ -19,7 +20,7 @@ from starnoma.engine import (
     wilson_interval,
 )
 from starnoma.errors import ConfigError, InvalidParameterError
-from starnoma.noma import DETECTED, GENIE, sic_receive
+from starnoma.noma import DETECTED, GENIE
 
 
 def star_config(n1=16, n2=16, same_zone=False, a=(0.7, 0.3), d=(3.0, 2.5),

@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DetectionOutcome, mld_detect, sic_receive, superpose
 from starnoma.errors import InvalidParameterError
-from starnoma.noma import (
-    DETECTED,
-    GENIE,
-    DetectionOutcome,
-    PowerAllocation,
-    mld_detect,
-    sic_receive,
-    superpose,
-)
+from starnoma.noma import DETECTED, GENIE, PowerAllocation
 
 
 class TestPowerAllocation:
