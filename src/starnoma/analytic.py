@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedScenarioError,
 )
 from .noma import PowerAllocation
-from .rules import count, positive
+from .rules import count, nonnegative, positive
 
 # Coherent BPSK over circularly symmetric disturbance: only half of the
 # complex noise-plus-interference power lands on the decision axis, so the
@@ -212,6 +212,7 @@ def ber_numeric(params: UserAnalyticParams, snr: float, rel_tol: float = 1e-8) -
     refinement split at the mean.  The degenerate zero-variance case
     collapses to the conditional error rate at the mean.
     """
+    nonnegative("snr", snr)
     mu, v = params.gain_moments()
     if v == 0.0:
         return float(conditional_ber(mu, params, snr))
@@ -286,6 +287,7 @@ def ber_closed_form(params: UserAnalyticParams, snr: float,
     expressed through the scaled complementary error function; the only
     gap versus ``ber_numeric`` is the fit's own accuracy.
     """
+    nonnegative("snr", snr)
     return _closed_form_sum(params, effective_snr(params, snr), coeffs)
 
 

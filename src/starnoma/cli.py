@@ -397,23 +397,22 @@ def cmd_figure(args) -> int:
     plan = _figure_plan(args)
     out_dir = Path(args.out)
     rule = _rule_from_args(args)
-    outputs: List[Path] = []
-    digests: List[str] = []
-    notes: List[str] = []
     paths = [out_dir / f"{plan.name}_{run.name}.csv" for run in plan.runs]
     for p in paths:
         _check_writable(p)
-    for run, path in zip(plan.runs, paths):
-        result = run_sweep(run.config, run.axis, run.values, run.users, rule,
-                           seed=args.seed, snr_db=run.snr_db,
-                           workers=args.workers)
+    # Every run finishes before any file is written, so a failed run leaves
+    # the directory as the previous invocation left it.
+    results = [run_sweep(run.config, run.axis, run.values, run.users, rule,
+                         seed=args.seed, snr_db=run.snr_db, workers=args.workers)
+               for run in plan.runs]
+    notes: List[str] = []
+    for run, result, path in zip(plan.runs, results, paths):
         write_sweep_csv(result, path)
-        outputs.append(path)
-        digests.append(config_hash(run.config))
         notes.extend(f"{run.name}: {n}" for n in collect_notes(result))
         print(f"wrote {path}")
     manifest = out_dir / f"{plan.name}.manifest.json"
-    write_manifest(manifest, digests, args.seed, outputs, notes)
+    write_manifest(manifest, [config_hash(run.config) for run in plan.runs],
+                   args.seed, paths, notes)
     print(f"wrote {manifest}")
     return 0
 

@@ -15,10 +15,11 @@ their composite coefficients circularly symmetric as seen by the observed
 user; they carry unit-power streams decorrelated from the served stream
 (a stream's sign then drops out of the composite term's distribution).
 
-Trials are sharded into fixed-size blocks.  Block ``b`` draws from a
-counter-based generator keyed by ``(seed, stream_key, b)``, blocks merge
-in index order, and stopping rules fire at block boundaries, so results
-are bit-identical for any worker count.
+Trials are sharded into fixed-size blocks; the last one is cut short so
+that no more than ``max_trials`` trials run.  Block ``b`` draws from its
+own PCG64 generator, seeded by ``SeedSequence(seed, spawn_key=(*stream_key,
+b))``; blocks merge in index order, and stopping rules fire at block
+boundaries, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .channel import (
     clt_moments,
     path_gain,
     sample_cascade_batch,
+    sample_leakage_noise_batch,
 )
 from .errors import ConfigError, InvalidParameterError, NoErrorFloor, NumericError
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
@@ -284,18 +286,9 @@ def _block_errors(plan: _TrialPlan, snr: float, rng: np.random.Generator, m: int
                                     plan.own_elements, m, rng)
 
     bits = rng.integers(0, 2, (m, n_users)) * 2 - 1
-    r = gain * (bits @ plan.amplitudes)
-
-    if plan.co_zone_elements > 0:
-        # Same-zone leakage: each element contributes (BS amplitude) times a
-        # circularly symmetric second hop carrying a unit-power stream; only
-        # the real part reaches decisions.
-        shape = (m, plan.co_zone_elements)
-        r = r + (rng.rayleigh(math.sqrt(plan.bs_gain / 2.0), shape)
-                 * rng.normal(0.0, math.sqrt(plan.user_gain / 2.0), shape)
-                 ).sum(axis=1)
-
-    r = r + rng.normal(0.0, math.sqrt(sigma2 / 2.0), m)
+    # Same-zone leakage and noise reach decisions through the real part only.
+    r = gain * (bits @ plan.amplitudes) + sample_leakage_noise_batch(
+        plan.bs_gain, plan.user_gain, plan.co_zone_elements, sigma2 / 2.0, m, rng)
 
     genie = plan.sic_mode == GENIE
     for j in range(k):
@@ -307,7 +300,7 @@ def _block_errors(plan: _TrialPlan, snr: float, rng: np.random.Generator, m: int
 
 def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, block))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
@@ -318,8 +311,15 @@ def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
     count("block_size", block_size, 1)
     n_workers = default_workers() if workers is None else max(1, workers)
 
+    # The last block runs only the trials left under max_trials.
+    n_blocks = -(-rule.max_trials // block_size)
+
+    def block_trials(b: int) -> int:
+        return min(block_size, rule.max_trials - b * block_size)
+
     def run_block(b: int) -> int:
-        return _block_errors(plan, snr, _block_rng(seed, stream_key, b), block_size)
+        return _block_errors(plan, snr, _block_rng(seed, stream_key, b),
+                             block_trials(b))
 
     errors = 0
     trials = 0
@@ -339,9 +339,10 @@ def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
         while not stopped():
             # Merge strictly in index order; once a stopping rule fires,
             # the wave's later (speculative) blocks are discarded.
-            for res in pool.map(run_block, range(blocks, blocks + n_workers)):
+            wave = range(blocks, min(blocks + n_workers, n_blocks))
+            for res in pool.map(run_block, wave):
                 errors += res
-                trials += block_size
+                trials += block_trials(blocks)
                 blocks += 1
                 if stopped():
                     break

@@ -13,12 +13,14 @@ Two groups of reference models live here:
   every fading vector of one coherence interval, ``align_phases`` /
   ``align_all`` set the surface phases, and ``subsurface_response``,
   ``cascaded_gain`` and ``interference_coefficient`` read the composite
-  coefficients off a realization.  ``sample_interference_batch`` is the
-  batch law of the same-zone leakage.  ``superpose`` builds the
+  coefficients off a realization.  ``sample_rayleigh_cascade_batch`` and
+  ``sample_interference_batch`` are the per-element batch laws of the
+  aligned gain and of the same-zone leakage.  ``superpose`` builds the
   superimposed BPSK sample, and ``sic_receive`` runs cancellation with
   ``mld_detect`` decisions, returning a ``DetectionOutcome``.  The engine
-  draws the same laws in batches (``starnoma.channel.sample_cascade_batch``
-  and ``starnoma.engine._block_errors``).
+  draws the same laws with fewer draws
+  (``starnoma.channel.sample_cascade_batch`` and
+  ``starnoma.channel.sample_leakage_noise_batch``).
 """
 
 from __future__ import annotations
@@ -115,6 +117,12 @@ class ChannelRealization:
         return replace(self, phases=tuple(new))
 
 
+def co_zone_users(alloc: SubsurfaceAllocation, user: int) -> Tuple[int, ...]:
+    """The other users served by the same surface part as ``user``."""
+    zone = alloc.zones[user]
+    return tuple(i for i, z in enumerate(alloc.zones) if z == zone and i != user)
+
+
 def _complex_normal(rng: np.random.Generator, variance: float, size: int) -> np.ndarray:
     # Circularly symmetric: variance split evenly between the two parts.
     scale = math.sqrt(variance / 2.0)
@@ -141,7 +149,7 @@ def sample_realization(
     user_vectors: Dict[Tuple[int, int], np.ndarray] = {}
     for k in range(alloc.n_users):
         gain = path_loss[k].user_gain()
-        for i in (k, *alloc.co_zone_users(k)):
+        for i in (k, *co_zone_users(alloc, k)):
             user_vectors[(k, i)] = _complex_normal(rng, gain, alloc.counts[i])
     phases = tuple(np.zeros(n) for n in alloc.counts)
     return ChannelRealization(alloc, bs_vectors, user_vectors, phases)
@@ -188,9 +196,24 @@ def interference_coefficient(realization: ChannelRealization, user: int) -> comp
     contributes under mode switching.
     """
     total = 0j
-    for i in realization.alloc.co_zone_users(user):
+    for i in co_zone_users(realization.alloc, user):
         total += subsurface_response(realization, user, i)
     return total
+
+
+def sample_rayleigh_cascade_batch(bs_gain: float, user_gain: float, elements: int,
+                                  size: int, rng: np.random.Generator) -> np.ndarray:
+    """Batch of aligned cascaded gains drawn element by element.
+
+    The aligned response is the sum of per-element products of the two hop
+    amplitudes, which are Rayleigh with scales ``sqrt(gain/2)``; this
+    matches :func:`cascaded_gain` on aligned realizations.
+    """
+    if elements == 0:
+        return np.zeros(size)
+    h = rng.rayleigh(math.sqrt(bs_gain / 2.0), (size, elements))
+    g = rng.rayleigh(math.sqrt(user_gain / 2.0), (size, elements))
+    return (h * g).sum(axis=1)
 
 
 def sample_interference_batch(bs_gain: float, user_gain: float, elements: int,
@@ -245,14 +268,13 @@ def superpose(symbols: Sequence[int], alloc: PowerAllocation) -> float:
     return sum(alloc.amplitude(k) * _check_symbol(x) for k, x in enumerate(symbols))
 
 
-def mld_detect(residual: complex, effective_gain: float, power_term: float) -> int:
+def mld_detect(residual: complex) -> int:
     """Minimum-distance BPSK decision.
 
-    argmin over {+1, -1} of |residual - power_term * gain * candidate|^2,
+    argmin over {+1, -1} of |residual - c * candidate|^2 for any positive
+    scale c (the cancelled user's amplitude times the effective gain),
     which reduces to the sign of the real part; exact ties resolve to +1.
     """
-    if effective_gain < 0:
-        raise InvalidParameterError("effective gain must be nonnegative")
     return 1 if residual.real >= 0.0 else -1
 
 
@@ -275,6 +297,8 @@ def sic_receive(
         raise InvalidParameterError(f"mode must be one of {SIC_MODES}, got {mode!r}")
     if not 0 <= user < alloc.n_users:
         raise InvalidParameterError(f"user index {user} out of range")
+    if effective_gain < 0:
+        raise InvalidParameterError("effective gain must be nonnegative")
     if mode == GENIE:
         if true_symbols is None:
             raise InvalidParameterError("genie mode requires the true symbols")
@@ -283,9 +307,9 @@ def sic_receive(
     residual = complex(y)
     stages = []
     for j in range(user):
-        detected_j = mld_detect(residual, effective_gain, alloc.amplitude(j))
+        detected_j = mld_detect(residual)
         subtract = _check_symbol(true_symbols[j]) if mode == GENIE else detected_j
         residual -= alloc.amplitude(j) * effective_gain * subtract
         stages.append(detected_j)
-    final = mld_detect(residual, effective_gain, alloc.amplitude(user))
+    final = mld_detect(residual)
     return DetectionOutcome(tuple(stages), final, mode)

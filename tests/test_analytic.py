@@ -206,6 +206,28 @@ class TestBerNumeric:
         assert ber_numeric(params, 1e-8) == pytest.approx(0.5, rel=1e-4)
 
 
+class TestSnrRule:
+    """Every entry point refuses a non-finite or negative SNR by name."""
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+    def test_closed_form(self, snr):
+        with pytest.raises(InvalidParameterError, match="snr"):
+            ber_closed_form(make_params(), snr)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+    def test_numeric(self, snr):
+        with pytest.raises(InvalidParameterError, match="snr"):
+            ber_numeric(make_params(), snr)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+    def test_imperfect_sic(self, snr):
+        alloc = PowerAllocation((0.7, 0.3))
+        params = UserAnalyticParams(1, alloc, FIG2_GAIN_U2, 50, 50)
+        with pytest.raises(InvalidParameterError, match="snr"):
+            ber_imperfect_sic(params, UserAnalyticParams(0, alloc, FIG2_GAIN_U2, 50, 50),
+                              snr)
+
+
 class TestBerClosedForm:
     def test_zero_snr_level(self):
         params = make_params()

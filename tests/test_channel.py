@@ -10,8 +10,10 @@ from oracles import (
     align_all,
     align_phases,
     cascaded_gain,
+    co_zone_users,
     interference_coefficient,
     sample_interference_batch,
+    sample_rayleigh_cascade_batch,
     sample_realization,
     subsurface_response,
 )
@@ -21,6 +23,7 @@ from starnoma.channel import (
     clt_moments,
     path_gain,
     sample_cascade_batch,
+    sample_leakage_noise_batch,
 )
 from starnoma.errors import InvalidParameterError
 
@@ -60,11 +63,10 @@ class TestAllocation:
         alloc = SubsurfaceAllocation((10, 20, 30), ("transmission", "transmission", "reflection"))
         assert alloc.n_transmission == 30
         assert alloc.n_reflection == 30
-        assert alloc.n_total == 60
         assert alloc.zone_total(0) == 30
         assert alloc.co_zone_elements(0) == 20
-        assert alloc.co_zone_users(0) == (1,)
-        assert alloc.co_zone_users(2) == ()
+        assert co_zone_users(alloc, 0) == (1,)
+        assert co_zone_users(alloc, 2) == ()
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -243,6 +245,37 @@ class TestInterference:
             bs_gain * user_gain * extra, rel=0.02)
 
 
+class TestLeakageNoise:
+    BS, USER, EXTRA, DRAWS = 4e-4, 1 / 16.0, 4, 400_000
+
+    def test_moments_match_per_element_law(self):
+        # Real leakage is a Gaussian scale mixture with variance
+        # (user/2) * G, G ~ Gamma(EXTRA, scale=BS): E[X^2] = c * EXTRA and
+        # E[X^4] = 3 c^2 EXTRA (EXTRA + 1) with c = BS * USER / 2.  A
+        # sampler that used the mean of G instead of its draw would give
+        # EXTRA^2 in place of EXTRA (EXTRA + 1), 20% low here.  Tolerances
+        # are about six standard errors (0.26% and 0.77%).
+        c = self.BS * self.USER / 2.0
+        second, fourth = c * self.EXTRA, 3.0 * c * c * self.EXTRA * (self.EXTRA + 1)
+        collapsed = sample_leakage_noise_batch(self.BS, self.USER, self.EXTRA, 0.0,
+                                               self.DRAWS, rng(31))
+        per_element = sample_interference_batch(self.BS, self.USER, self.EXTRA,
+                                                self.DRAWS, rng(32)).real
+        for vals in (collapsed, per_element):
+            assert np.mean(vals**2) == pytest.approx(second, rel=0.015)
+            assert np.mean(vals**4) == pytest.approx(fourth, rel=0.04)
+
+    def test_noise_variance_adds(self):
+        noise_var = 3e-5
+        alone = sample_leakage_noise_batch(self.BS, self.USER, 0, noise_var,
+                                           self.DRAWS, rng(33))
+        assert np.mean(alone**2) == pytest.approx(noise_var, rel=0.015)
+        both = sample_leakage_noise_batch(self.BS, self.USER, self.EXTRA, noise_var,
+                                          self.DRAWS, rng(34))
+        assert np.mean(both**2) == pytest.approx(
+            noise_var + self.BS * self.USER / 2.0 * self.EXTRA, rel=0.015)
+
+
 class TestBatchCascade:
     def test_matches_object_path_moments(self):
         alloc = SubsurfaceAllocation((16,), ("reflection",))
@@ -260,3 +293,37 @@ class TestBatchCascade:
 
     def test_zero_elements(self):
         assert np.all(sample_cascade_batch(1.0, 1.0, 0, 10, rng(0)) == 0.0)
+
+    def test_lower_tail_matches_rayleigh_product_sampler(self):
+        # P(S < q) at the per-element sampler's 1e-2, 3e-3 and 1e-3
+        # quantiles, within 4.5 two-sample standard errors (3.2% of p at
+        # 1e-3).
+        bs_gain, user_gain, elements, draws = 4e-4, 1 / 36.0, 16, 2_000_000
+        reference = sample_rayleigh_cascade_batch(bs_gain, user_gain, elements,
+                                                  draws, rng(41))
+        collapsed = sample_cascade_batch(bs_gain, user_gain, elements, draws, rng(42))
+        for p in (1e-2, 3e-3, 1e-3):
+            q = np.quantile(reference, p)
+            p_ref = np.mean(reference < q)
+            se = math.sqrt(p_ref * (1.0 - p_ref) * 2.0 / draws)
+            assert abs(np.mean(collapsed < q) - p_ref) < 4.5 * se
+
+    def test_float32_draws_lose_nothing_measurable(self):
+        # The float32 route against float64 arithmetic on the very same
+        # uniforms (worst relative gap measured: 3e-8); 5000 rows cross a
+        # chunk boundary.
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.drawn = inner, []
+
+            def random(self, shape, dtype):
+                u = self.inner.random(shape, dtype=dtype)
+                self.drawn.append(u.copy())
+                return u
+
+        recording = Recording(rng(43))
+        got = sample_cascade_batch(4e-4, 1 / 36.0, 50, 5000, recording)
+        u = np.concatenate(recording.drawn, axis=1).astype(np.float64)
+        e = -np.log1p(-u)
+        want = math.sqrt(4e-4 / 36.0) * np.sqrt(e[0] * e[1]).sum(axis=1)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-6

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import starnoma.cli as cli
 from starnoma.cli import (
     CSV_HEADER,
     config_hash,
@@ -12,7 +13,7 @@ from starnoma.cli import (
     main,
     parse_config,
 )
-from starnoma.errors import ConfigError
+from starnoma.errors import ConfigError, NumericError
 
 STAR_CONFIG = {
     "system": {"variant": "star-ris-noma", "bs_ris_distance": 50.0,
@@ -93,6 +94,14 @@ class TestPointCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ber_asymptotic=no-floor" in out
+
+    def test_max_trials_is_exact(self, config_path, capsys):
+        rc = main(["point", "--config", str(config_path), "--snr-db", "5",
+                   "--min-errors", "1000000", "--max-trials", "1000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        assert all(" trials=1000 " in line for line in lines)
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         bad = json.loads(json.dumps(STAR_CONFIG))
@@ -215,6 +224,25 @@ class TestFigureCommand:
         files = sorted(p.name for p in (tmp_path / "f3").glob("*.csv"))
         assert files == ["fig3_a70_n4_imperfect.csv", "fig3_a70_n4_perfect.csv",
                          "fig3_a80_n4_imperfect.csv", "fig3_a80_n4_perfect.csv"]
+
+    def test_failed_run_leaves_directory_unchanged(self, tmp_path, monkeypatch):
+        out = tmp_path / "f2"
+        argv = ["figure", "fig2", "--out", str(out), "--snr-values", "0,10",
+                "--elements", "4,8", *fast_args()]
+        assert main(argv + ["--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+
+        def second_run_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericError("quadrature did not converge")
+            return real_run_sweep(*args, **kwargs)
+
+        real_run_sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", second_run_fails)
+        assert main(argv + ["--seed", "2"]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_preset_rerun_byte_identical(self, tmp_path):
         for sub in ("r1", "r2"):

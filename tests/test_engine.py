@@ -9,6 +9,7 @@ from oracles import (align_all, cascaded_gain, interference_coefficient,
 from starnoma.engine import (
     CLASSICAL_VARIANT,
     STAR_VARIANT,
+    WILSON_Z,
     BerEstimate,
     ScenarioConfig,
     StoppingRule,
@@ -21,6 +22,17 @@ from starnoma.engine import (
 )
 from starnoma.errors import ConfigError, InvalidParameterError
 from starnoma.noma import DETECTED, GENIE
+
+# Single-seed interval checks use z=4 (two-sided miss rate 6e-5) rather
+# than 95%, which misses one seed in twenty on a correct sampler.  Their
+# trial budgets are scaled by (4 / 1.96)^2 so the interval keeps the width,
+# and so the power against a biased sampler, that the 95% form had.
+STRICT_Z = 4.0
+BUDGET_SCALE = (STRICT_Z / WILSON_Z) ** 2
+
+
+def strict_interval(est):
+    return wilson_interval(est.errors, est.trials, z=STRICT_Z)
 
 
 def star_config(n1=16, n2=16, same_zone=False, a=(0.7, 0.3), d=(3.0, 2.5),
@@ -112,6 +124,15 @@ class TestDeterminism:
         b = run_ber_point(cfg, 10.0, 1, rule, seed=2)
         assert (a.errors, a.trials) != (b.errors, b.trials)
 
+    def test_short_last_block_identical_across_worker_counts(self):
+        # 150_000 trials are two full blocks and a last block of 18_928.
+        cfg = star_config(same_zone=True)
+        rule = StoppingRule(min_errors=10**9, max_trials=150_000)
+        runs = [run_ber_point(cfg, 12.0, 0, rule, seed=31, workers=w)
+                for w in (1, 2, 5)]
+        assert {(r.errors, r.trials, r.blocks) for r in runs} == {
+            (runs[0].errors, 150_000, 3)}
+
     def test_stream_keys_decorrelate_cells(self):
         cfg = star_config()
         rule = StoppingRule(min_errors=50, max_trials=200_000)
@@ -122,18 +143,21 @@ class TestDeterminism:
 
 class TestPointEstimates:
     def test_noise_dominated_limit(self):
+        # The 95% form stopped after one 65536-trial block.
         cfg = star_config()
-        est = run_ber_point(cfg, -40.0, 0, StoppingRule(min_errors=200, max_trials=200_000), seed=3)
-        assert est.ci_low <= 0.5 <= est.ci_high
+        rule = StoppingRule(min_errors=10**9, max_trials=round(65536 * BUDGET_SCALE))
+        lo, hi = strict_interval(run_ber_point(cfg, -40.0, 0, rule, seed=3))
+        assert lo <= 0.5 <= hi
 
     def test_single_user_matches_quadrature_oracle(self):
         cfg = ScenarioConfig(variant=STAR_VARIANT,
                              users=(UserSpec(2.0, "transmission", 32, 1.0),),
                              bs_ris_distance=20.0)
         expected = analytic.ber_numeric(cfg.analytic_params(0), 10 ** 0.8)
-        est = run_ber_point(cfg, 8.0, 0,
-                            StoppingRule(min_errors=3000, max_trials=1_000_000), seed=5)
-        assert est.ci_low <= expected <= est.ci_high
+        rule = StoppingRule(min_errors=round(3000 * BUDGET_SCALE),
+                            max_trials=round(1_000_000 * BUDGET_SCALE))
+        lo, hi = strict_interval(run_ber_point(cfg, 8.0, 0, rule, seed=5))
+        assert lo <= expected <= hi
 
     def test_classical_single_user_matches_textbook_form(self):
         gain = 0.02
@@ -144,10 +168,10 @@ class TestPointEstimates:
             bs_ris_distance=20.0)
         g_bar = gain * 10.0 ** 2.0
         expected = 0.5 * (1.0 - math.sqrt(g_bar / (1.0 + g_bar)))
-        est = run_classical_point(cfg, 20.0, 0,
-                                  StoppingRule(min_errors=5000, max_trials=1_000_000),
-                                  seed=6)
-        assert est.ci_low <= expected <= est.ci_high
+        rule = StoppingRule(min_errors=round(5000 * BUDGET_SCALE),
+                            max_trials=round(1_000_000 * BUDGET_SCALE))
+        lo, hi = strict_interval(run_classical_point(cfg, 20.0, 0, rule, seed=6))
+        assert lo <= expected <= hi
 
     def test_detected_sic_never_beats_genie(self):
         rule = StoppingRule(min_errors=800, max_trials=600_000)

@@ -54,11 +54,11 @@ class TestSuperpose:
 
 class TestMldDetect:
     def test_sign_decisions(self):
-        assert mld_detect(0.3 + 0j, 1.0, 0.5) == 1
-        assert mld_detect(-0.01 + 5j, 1.0, 0.5) == -1
+        assert mld_detect(0.3 + 0j) == 1
+        assert mld_detect(-0.01 + 5j) == -1
 
     def test_tie_breaks_positive(self):
-        assert mld_detect(0.0 + 2j, 1.0, 0.5) == 1
+        assert mld_detect(0.0 + 2j) == 1
 
     def test_matches_argmin_form(self):
         # Exhaustive grid: sign detection equals the minimum-distance rule.
@@ -68,18 +68,18 @@ class TestMldDetect:
                     r = complex(re, 0.7)
                     dists = {c: abs(r - power * gain * c) ** 2 for c in (1, -1)}
                     argmin = min(dists, key=dists.get)
-                    got = mld_detect(r, gain, power)
+                    got = mld_detect(r)
                     if dists[1] != dists[-1]:
                         assert got == argmin
                     else:
                         assert got == 1
 
-    def test_rejects_negative_gain(self):
-        with pytest.raises(InvalidParameterError):
-            mld_detect(1.0 + 0j, -1.0, 0.5)
-
 
 class TestSicReceive:
+    def test_rejects_negative_gain(self):
+        with pytest.raises(InvalidParameterError):
+            sic_receive(1.0 + 0j, 0, -1.0, PowerAllocation((0.7, 0.3)), mode=DETECTED)
+
     def test_first_user_has_no_stages(self):
         alloc = PowerAllocation((0.7, 0.3))
         out = sic_receive(1.0 + 0j, 0, 1.0, alloc, mode=DETECTED)
