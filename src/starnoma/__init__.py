@@ -4,8 +4,6 @@ power-domain multiple-access downlink."""
 __version__ = "0.1.0"
 
 from .analytic import (
-    DEFAULT_COEFFS,
-    QApproxCoeffs,
     UserAnalyticParams,
     ber_asymptotic,
     ber_closed_form,

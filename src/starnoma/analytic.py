@@ -1,10 +1,11 @@
 """Closed-form and semi-analytical error-rate expressions.
 
 Everything here works with the Gaussian model of the aligned cascaded
-gain: the conditional error rate given a gain value, a numeric
-quadrature oracle that averages it over the gain distribution with the
-exact Gaussian tail, the exponential-approximation closed form, its
-high-SNR limit (the interference-induced error floor), and the two-user
+gain: the conditional error rate given a gain value, an exact-tail
+oracle that averages it over the gain distribution on ``[0, inf)`` in
+closed form (a bivariate-normal orthant probability written with Owen's
+T function), the exponential-approximation closed form, its high-SNR
+limit (the interference-induced error floor), and the two-user
 imperfect-cancellation combination.
 """
 
@@ -16,16 +17,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc, erfcx
+from scipy.special import erfc, erfcx, owens_t
 
 from .channel import clt_moments
-from .errors import (
-    InvalidParameterError,
-    NoErrorFloor,
-    NumericError,
-    UnsupportedScenarioError,
-)
+from .errors import InvalidParameterError, NoErrorFloor, UnsupportedScenarioError
 from .noma import PowerAllocation
 from .rules import count, nonnegative, positive
 
@@ -40,20 +35,10 @@ class PowerConventionWarning(UserWarning):
     power; for other powers the interference scaling is a modelling choice."""
 
 
-@dataclass(frozen=True)
-class QApproxCoeffs:
-    """Coefficients of the one-sided exponential tail fit exp(-a x^2 - b x - c)."""
-
-    a: float = 0.3842
-    b: float = 0.7640
-    c: float = 0.6964
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0 or self.c <= 0:
-            raise InvalidParameterError("fit coefficients must all be positive")
-
-
-DEFAULT_COEFFS = QApproxCoeffs()
+# Coefficients of the one-sided exponential tail fit exp(-a x^2 - b x - c).
+FIT_A = 0.3842
+FIT_B = 0.7640
+FIT_C = 0.6964
 
 
 def q_exact(x):
@@ -65,12 +50,12 @@ def q_exact(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def q_approx(x, coeffs: QApproxCoeffs = DEFAULT_COEFFS):
+def q_approx(x):
     """Exponential tail approximation, valid for nonnegative arguments only."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise InvalidParameterError("the exponential tail fit is one-sided; x must be >= 0")
-    return np.exp(-(coeffs.a * arr * arr + coeffs.b * arr + coeffs.c))
+    return np.exp(-(FIT_A * arr * arr + FIT_B * arr + FIT_C))
 
 
 @dataclass(frozen=True)
@@ -200,43 +185,38 @@ def conditional_ber(phi, params: UserAnalyticParams, snr: float):
     return float(result) if np.isscalar(phi) or phi_arr.ndim == 0 else result
 
 
-def _gain_pdf(x, mu: float, v: float):
-    return np.exp(-((x - mu) ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+def _positive_gain_tail(c: float, m: float) -> float:
+    # E[Q(c X) 1{X > 0}] for X ~ N(m, 1), which is the orthant probability
+    # P(Z > c X, X > 0) of a bivariate normal in Owen's T form (Owen 1956).
+    if c < 0.0:
+        return float(1.0 - q_exact(m)) - _positive_gain_tail(-c, m)
+    if c == 0.0:
+        return 0.5 * float(1.0 - q_exact(m))
+    h = c * m / math.sqrt(1.0 + c * c)
+    return float(0.5 * q_exact(h) - 0.5 * q_exact(m) + owens_t(h, 1.0 / c))
 
 
-def ber_numeric(params: UserAnalyticParams, snr: float, rel_tol: float = 1e-8) -> float:
-    """Quadrature oracle: conditional error rate averaged over the gain PDF.
+def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
+    """Exact-tail oracle: conditional error rate averaged over the gain PDF.
 
-    Integrates with the exact Gaussian tail over
-    [max(0, mu - 10 sigma), mu + 10 sigma] using adaptive Gauss-Kronrod
-    refinement split at the mean.  The degenerate zero-variance case
-    collapses to the conditional error rate at the mean.
+    Each sign-combination term E[Q(A phi sqrt(2 rho snr)) 1{phi > 0}] is
+    evaluated exactly over ``[0, inf)``, the domain the closed form
+    integrates over, so the closed-vs-oracle gap is the tail fit's error
+    alone.  Rounding in the Owen's T sum grows with the tail argument's
+    scale A sigma sqrt(2 rho snr): against 50-digit quadrature it is
+    within 3e-14 relative up to 60 dB on the figure presets and 1.4e-11
+    at 120 dB.  The degenerate zero-variance case collapses to the
+    conditional error rate at the mean.
     """
     nonnegative("snr", snr)
     mu, v = params.gain_moments()
     if v == 0.0:
         return float(conditional_ber(mu, params, snr))
     sigma = math.sqrt(v)
-    lo = max(0.0, mu - 10.0 * sigma)
-    hi = mu + 10.0 * sigma
-    points = [mu] if lo < mu < hi else None
-
-    def integrand(x: float) -> float:
-        return float(conditional_ber(x, params, snr)) * float(_gain_pdf(x, mu, v))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(
-                integrand, lo, hi, points=points,
-                epsabs=1e-15, epsrel=rel_tol, limit=200)
-        except integrate.IntegrationWarning as exc:
-            raise NumericError(
-                f"gain-average quadrature did not converge on [{lo}, {hi}] "
-                f"(snr={snr}, user={params.index}): {exc}") from exc
-    if value < 0.0:
-        raise NumericError(f"quadrature returned a negative probability {value}")
-    return float(value)
+    scale = sigma * math.sqrt(effective_snr(params, snr))
+    combos = sign_combinations(params.index, params.alloc)
+    return combos.weight * sum(
+        _positive_gain_tail(amp * scale, mu / sigma) for amp in combos.amplitudes)
 
 
 def _log_erfcx(d: float) -> float:
@@ -247,24 +227,22 @@ def _log_erfcx(d: float) -> float:
     return d * d + math.log(2.0)
 
 
-def _closed_form_term(amp: float, mu: float, v: float, eff_snr: float,
-                      coeffs: QApproxCoeffs) -> float:
+def _closed_form_term(amp: float, mu: float, v: float, eff_snr: float) -> float:
     # Exact integral over [0, inf) of the exponential tail fit evaluated at
     # amp * x * sqrt(eff_snr) against an (unnormalised) Gaussian in x.
     beta = amp * math.sqrt(eff_snr)
-    d = (coeffs.b * beta * v - mu) / math.sqrt(4.0 * coeffs.a * beta**2 * v**2 + 2.0 * v)
+    d = (FIT_B * beta * v - mu) / math.sqrt(4.0 * FIT_A * beta**2 * v**2 + 2.0 * v)
     log_term = (
-        -coeffs.c
+        -FIT_C
         - mu * mu / (2.0 * v)
         + _log_erfcx(d)
         - math.log(2.0)
-        - 0.5 * math.log1p(2.0 * coeffs.a * beta**2 * v)
+        - 0.5 * math.log1p(2.0 * FIT_A * beta**2 * v)
     )
     return math.exp(log_term)
 
 
-def _closed_form_sum(params: UserAnalyticParams, eff_snr: float,
-                     coeffs: QApproxCoeffs) -> float:
+def _closed_form_sum(params: UserAnalyticParams, eff_snr: float) -> float:
     mu, v = params.gain_moments()
     if v == 0.0:
         raise InvalidParameterError(
@@ -276,11 +254,10 @@ def _closed_form_sum(params: UserAnalyticParams, eff_snr: float,
             "a sign combination has non-positive amplitude; the one-sided "
             "tail fit does not cover this allocation")
     return combos.weight * sum(
-        _closed_form_term(amp, mu, v, eff_snr, coeffs) for amp in combos.amplitudes)
+        _closed_form_term(amp, mu, v, eff_snr) for amp in combos.amplitudes)
 
 
-def ber_closed_form(params: UserAnalyticParams, snr: float,
-                    coeffs: QApproxCoeffs = DEFAULT_COEFFS) -> float:
+def ber_closed_form(params: UserAnalyticParams, snr: float) -> float:
     """Closed-form average error rate under the exponential tail fit.
 
     Each sign-combination term is the exact Gaussian integral of the fit,
@@ -288,17 +265,16 @@ def ber_closed_form(params: UserAnalyticParams, snr: float,
     gap versus ``ber_numeric`` is the fit's own accuracy.
     """
     nonnegative("snr", snr)
-    return _closed_form_sum(params, effective_snr(params, snr), coeffs)
+    return _closed_form_sum(params, effective_snr(params, snr))
 
 
-def ber_asymptotic(params: UserAnalyticParams,
-                   coeffs: QApproxCoeffs = DEFAULT_COEFFS) -> float:
+def ber_asymptotic(params: UserAnalyticParams) -> float:
     """High-SNR error floor: the closed form at the limiting effective SNR.
 
     Raises :class:`NoErrorFloor` for sole-occupant users, whose error rate
     vanishes with SNR instead of flattening.
     """
-    return _closed_form_sum(params, asymptotic_effective_snr(params), coeffs)
+    return _closed_form_sum(params, asymptotic_effective_snr(params))
 
 
 def imperfect_sic_mixture(ber_own: float, prob_stage_correct: float) -> float:
@@ -314,8 +290,7 @@ def imperfect_sic_mixture(ber_own: float, prob_stage_correct: float) -> float:
 
 def ber_imperfect_sic(params_user2: UserAnalyticParams,
                       params_x1_at_user2: UserAnalyticParams,
-                      snr: float,
-                      coeffs: QApproxCoeffs = DEFAULT_COEFFS) -> float:
+                      snr: float) -> float:
     """Two-user error rate of the cancelling user with detected (not genie) SIC.
 
     ``params_x1_at_user2`` describes the stronger user's symbol as decoded
@@ -339,6 +314,6 @@ def ber_imperfect_sic(params_user2: UserAnalyticParams,
     if not same_channel:
         raise UnsupportedScenarioError(
             "both parameter sets must carry the cancelling user's channel")
-    ber_own = ber_closed_form(params_user2, snr, coeffs)
-    prob_stage_error = ber_closed_form(params_x1_at_user2, snr, coeffs)
+    ber_own = ber_closed_form(params_user2, snr)
+    prob_stage_error = ber_closed_form(params_x1_at_user2, snr)
     return imperfect_sic_mixture(ber_own, 1.0 - prob_stage_error)

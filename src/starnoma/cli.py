@@ -43,7 +43,7 @@ from .engine import (
     UserSpec,
     run_sweep,
 )
-from .errors import ConfigError, NumericError, StarNomaError
+from .errors import ConfigError, StarNomaError
 from .rules import count, number, power_coefficients
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
@@ -486,9 +486,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
     except StarNomaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,7 @@ from .channel import (
     sample_cascade_batch,
     sample_leakage_noise_batch,
 )
-from .errors import ConfigError, InvalidParameterError, NoErrorFloor, NumericError
+from .errors import ConfigError, InvalidParameterError, NoErrorFloor
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from .rules import count, nonnegative, number, one_of, positive, power_coefficients
 
@@ -443,13 +443,9 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
         except InvalidParameterError as exc:
             closed = nan
             notes.append(f"imperfect-SIC closed form unavailable: {exc}")
-        try:
-            own = analytic.ber_numeric(params, snr)
-            stage_err = analytic.ber_numeric(params_x1, snr)
-            numeric = analytic.imperfect_sic_mixture(own, 1.0 - stage_err)
-        except NumericError as exc:
-            numeric = nan
-            notes.append(f"numeric oracle failed for user {user + 1}: {exc}")
+        own = analytic.ber_numeric(params, snr)
+        stage_err = analytic.ber_numeric(params_x1, snr)
+        numeric = analytic.imperfect_sic_mixture(own, 1.0 - stage_err)
         if params.co_zone_elements == 0:
             asym: Optional[float] = None
         else:
@@ -463,11 +459,7 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
     except InvalidParameterError as exc:
         closed = nan
         notes.append(f"closed form unavailable for user {user + 1}: {exc}")
-    try:
-        numeric = analytic.ber_numeric(params, snr)
-    except NumericError as exc:
-        numeric = nan
-        notes.append(f"numeric oracle failed for user {user + 1}: {exc}")
+    numeric = analytic.ber_numeric(params, snr)
     try:
         asym = analytic.ber_asymptotic(params)
     except NoErrorFloor:
@@ -486,8 +478,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     """One BER estimate per (axis value, user) plus aligned analytic series.
 
     ``snr_db`` is the fixed operating point for element-count and power
-    sweeps and is ignored for SNR sweeps.  Cell-level numeric failures are
-    recorded in the cell notes without aborting the sweep.
+    sweeps and is ignored for SNR sweeps.
     """
     one_of("sweep.axis", axis, AXES)
     vals = tuple(number(f"sweep.values[{i}]", v) for i, v in enumerate(values))

@@ -18,7 +18,8 @@ class UnsupportedScenarioError(StarNomaError):
 
 
 class NumericError(StarNomaError, ArithmeticError):
-    """A numerical routine failed to converge; message carries diagnostics."""
+    """A numerical routine failed to converge; message carries diagnostics.
+    No package routine raises it at present."""
 
 
 class NoErrorFloor(StarNomaError):

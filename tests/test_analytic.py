@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import decision_region_oracle, probit_oracle
+from oracles import decision_region_oracle, mpmath_oracle, probit_oracle, quadrature_oracle
+from starnoma import presets
 from starnoma.analytic import (
-    DEFAULT_COEFFS,
     PowerConventionWarning,
-    QApproxCoeffs,
     UserAnalyticParams,
     asymptotic_effective_snr,
     ber_asymptotic,
@@ -78,10 +77,6 @@ class TestQApprox:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             q_approx(-0.1)
-
-    def test_coefficient_validation(self):
-        with pytest.raises(InvalidParameterError):
-            QApproxCoeffs(a=-0.1)
 
     def test_accuracy_envelope(self):
         # Measured behaviour of the default fit: sub-2.4% relative error on
@@ -204,6 +199,58 @@ class TestBerNumeric:
     def test_noise_dominated_limit(self):
         params = make_params()
         assert ber_numeric(params, 1e-8) == pytest.approx(0.5, rel=1e-4)
+
+
+def _fig5_params(split, user):
+    return presets.fig5(split).runs[0].config.analytic_params(user)
+
+
+# (label, params, snr): fig2 cross-zone users, the stronger user's symbol
+# seen at user 2 (the detected-SIC stage), fig5 same-zone users, an
+# allocation whose all-minus amplitude is negative, four users, and the
+# extremes of the SNR range.  Eight cells sit below BER 1e-15, where
+# double-precision quadrature of the gain average breaks down.
+DEEP_TAIL_CELLS = [
+    *[(f"fig2 n={n} user {k + 1} {db} dB",
+       make_params(index=k, gain=(FIG2_GAIN_U1, FIG2_GAIN_U2)[k], own=n),
+       10.0 ** (db / 10.0))
+      for n in (10, 50, 75) for k in (0, 1) for db in (12, 36, 60)],
+    ("fig2 n=75 user 2 48 dB", make_params(own=75), 10.0 ** 4.8),
+    ("fig2 n=50 x1 at user 2 48 dB", make_params(index=0, own=50), 10.0 ** 4.8),
+    *[(f"fig5 25/25/50 user {k + 1} {db} dB", _fig5_params((25, 25, 50), k),
+       10.0 ** (db / 10.0))
+      for k in range(3) for db in (24, 48)],
+    ("fig2 n=50 user 2 snr 1e12", make_params(), 1e12),
+    ("fig2 n=50 user 2 snr 0", make_params(), 0.0),
+    *[(f"(0.4, 0.3, 0.3) user 1 {db} dB",
+       make_params(index=0, coeffs=(0.4, 0.3, 0.3), own=25, zone=25),
+       10.0 ** (db / 10.0)) for db in (20, 50)],
+    *[(f"four users, user {k + 1} 30 dB",
+       make_params(index=k, coeffs=(0.4, 0.3, 0.2, 0.1), gain=FIG2_GAIN_U1,
+                   own=16, zone=32), 1e3) for k in (0, 1)],
+]
+
+
+class TestBerNumericDeepTail:
+    @pytest.mark.parametrize("label,params,snr", DEEP_TAIL_CELLS,
+                             ids=[c[0] for c in DEEP_TAIL_CELLS])
+    def test_matches_mpmath(self, label, params, snr):
+        pytest.importorskip("mpmath")
+        exact = mpmath_oracle(params, snr)
+        assert exact > 0.0
+        assert ber_numeric(params, snr) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    def test_agrees_with_quadrature_above_1e14(self):
+        # The quadrature's absolute tolerance (1e-15) caps its accuracy: at
+        # fig5 user 3, 48 dB (BER 3.7e-15) it is 2.4e-6 off the 50-digit value.
+        compared = 0
+        for label, params, snr in DEEP_TAIL_CELLS:
+            reference = quadrature_oracle(params, snr)
+            if reference >= 1e-14:
+                compared += 1
+                assert ber_numeric(params, snr) == pytest.approx(
+                    reference, rel=1e-6, abs=0.0), label
+        assert compared >= 15
 
 
 class TestSnrRule:
