@@ -30,7 +30,8 @@ _VAR_FACTOR = 1.0 - math.pi**2 / 16.0
 
 # Rows of the cascade's element draws handled at a time, so a call holds
 # 16 KiB of float32 draws per element whatever the block size; chosen by
-# measured speed.
+# measured speed.  The chunk size fixes the word layout (which generator
+# words pair into E1 * E2); changing it changes the streams.
 _CASCADE_ROWS = 2048
 
 
@@ -120,18 +121,30 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
     ``|g| = sqrt(user_gain * E2)`` with unit exponentials E1 and E2, so the
     gain is ``sqrt(bs_gain * user_gain) * sum_i sqrt(E1_i * E2_i)``.
 
-    The exponentials are ``-log(1 - U)`` of float32 uniforms (``1 - U`` lies
-    in (0, 1], so the log is finite) and every row is summed in float64.
-    Rows are drawn ``_CASCADE_ROWS`` at a time, which bounds the memory per
-    call whatever ``size`` is.
+    The exponentials are ``-log(1 - U)`` of float32 uniforms, products
+    and roots are float32 and every row is summed in float64.  The
+    uniforms are built from raw 64-bit generator words, low 32-bit half
+    first: a half ``w`` gives ``1 - U = (2**24 - (w >> 8)) * 2**-24`` in
+    (0, 1], so the log is finite.  On a generator with no buffered half
+    (a fresh block generator) these are exactly the values and the end
+    state of ``1 - rng.random(shape, dtype=float32)``, without that call's
+    per-value overhead.  Rows are drawn ``_CASCADE_ROWS`` at a time into
+    one reused buffer, which bounds the memory per call whatever ``size`` is.
     """
     if elements == 0:
         return np.zeros(size)
     out = np.empty(size)
+    buf = np.empty(2 * min(size, _CASCADE_ROWS) * elements, dtype=np.float32)
     for start in range(0, size, _CASCADE_ROWS):
         stop = min(size, start + _CASCADE_ROWS)
-        u = rng.random((2, stop - start, elements), dtype=np.float32)
-        np.subtract(1.0, u, out=u)
+        shape = (2, stop - start, elements)
+        raw = rng.bit_generator.random_raw((stop - start) * elements)
+        w = raw.astype("<u8", copy=False).view("<u4").reshape(shape)
+        np.right_shift(w, 8, out=w)
+        np.subtract(1 << 24, w, out=w)                        # 2**24 (1 - U)
+        u = buf[:w.size].reshape(shape)
+        np.copyto(u, w.view(np.int32), casting="unsafe")
+        np.multiply(u, np.float32(2.0**-24), out=u)           # 1 - U
         log_u = np.log(u, out=u)                              # -E1, -E2
         root = np.multiply(log_u[0], log_u[1], out=log_u[0])  # E1 * E2
         np.sqrt(root, out=root)

@@ -33,14 +33,19 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy
+import scipy
+
 from . import __version__, presets
 from .engine import (
     AXES,
+    DEFAULT_BLOCK_SIZE,
     SNR_AXIS,
     ScenarioConfig,
     StoppingRule,
     SweepResult,
     UserSpec,
+    default_workers,
     run_sweep,
 )
 from .errors import ConfigError, StarNomaError
@@ -245,13 +250,20 @@ def collect_notes(result: SweepResult) -> List[str]:
 
 
 def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
-                   outputs: Sequence[Path], warnings_list: Sequence[str]) -> None:
+                   outputs: Sequence[Path], warnings_list: Sequence[str],
+                   rule: StoppingRule, workers: int) -> None:
+    """Record what produced ``outputs``, including what byte-identity needs."""
     doc = {
         "tool": "starnoma",
         "version": __version__,
         "config_hash": list(config_digests) if len(config_digests) != 1
         else config_digests[0],
         "seed": seed,
+        "block_size": DEFAULT_BLOCK_SIZE,
+        "workers": workers,
+        "stopping_rule": asdict(rule),
+        "versions": {"python": ".".join(map(str, sys.version_info[:3])),
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
         "warnings": list(warnings_list),
@@ -311,13 +323,20 @@ def _rule_from_args(args) -> StoppingRule:
                         max_trials=count("--max-trials", args.max_trials, 1))
 
 
+def _workers_from_args(args) -> int:
+    if args.workers is None:
+        return default_workers()
+    return count("--workers", args.workers, 1)
+
+
 def cmd_point(args) -> int:
     config, _ = load_config(args.config)
     rule = _rule_from_args(args)
+    workers = _workers_from_args(args)
     users = ([args.user - 1] if args.user is not None
              else list(range(config.n_users)))
     result = run_sweep(config, SNR_AXIS, [number("--snr-db", args.snr_db)], users, rule,
-                       seed=args.seed, workers=args.workers)
+                       seed=args.seed, workers=workers)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for cell in result.cells:
@@ -349,15 +368,16 @@ def cmd_sweep(args) -> int:
     _check_writable(out)
 
     rule = _rule_from_args(args)
+    workers = _workers_from_args(args)
     result = run_sweep(config, axis, values, users, rule,
-                       seed=args.seed, snr_db=snr_db, workers=args.workers)
+                       seed=args.seed, snr_db=snr_db, workers=workers)
     if args.format == "csv":
         write_sweep_csv(result, out)
     else:
         write_sweep_json(result, out)
     manifest = out.with_name(out.name + ".manifest.json")
     write_manifest(manifest, [config_hash(config)], args.seed, [out],
-                   collect_notes(result))
+                   collect_notes(result), rule, workers)
     print(f"wrote {out} and {manifest}")
     return 0
 
@@ -397,13 +417,14 @@ def cmd_figure(args) -> int:
     plan = _figure_plan(args)
     out_dir = Path(args.out)
     rule = _rule_from_args(args)
+    workers = _workers_from_args(args)
     paths = [out_dir / f"{plan.name}_{run.name}.csv" for run in plan.runs]
     for p in paths:
         _check_writable(p)
     # Every run finishes before any file is written, so a failed run leaves
     # the directory as the previous invocation left it.
     results = [run_sweep(run.config, run.axis, run.values, run.users, rule,
-                         seed=args.seed, snr_db=run.snr_db, workers=args.workers)
+                         seed=args.seed, snr_db=run.snr_db, workers=workers)
                for run in plan.runs]
     notes: List[str] = []
     for run, result, path in zip(plan.runs, results, paths):
@@ -412,7 +433,7 @@ def cmd_figure(args) -> int:
         print(f"wrote {path}")
     manifest = out_dir / f"{plan.name}.manifest.json"
     write_manifest(manifest, [config_hash(run.config) for run in plan.runs],
-                   args.seed, paths, notes)
+                   args.seed, paths, notes, rule, workers)
     print(f"wrote {manifest}")
     return 0
 

@@ -64,11 +64,15 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 
 
 def default_workers() -> int:
+    """Worker count from ``STARNOMA_THREADS``; unset or empty means 1."""
     raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        value = raw  # fails the rule below, which names the variable
+    return count(THREADS_ENV, value, 1)
 
 
 @dataclass(frozen=True)
@@ -309,7 +313,7 @@ def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
     snr = 10.0 ** (number("snr_db", snr_db) / 10.0)
     count("seed", seed)
     count("block_size", block_size, 1)
-    n_workers = default_workers() if workers is None else max(1, workers)
+    n_workers = default_workers() if workers is None else count("workers", workers, 1)
 
     # The last block runs only the trials left under max_trials.
     n_blocks = -(-rule.max_trials // block_size)

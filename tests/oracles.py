@@ -25,7 +25,9 @@ Two groups of reference models live here:
   ``mld_detect`` decisions, returning a ``DetectionOutcome``.  The engine
   draws the same laws with fewer draws
   (``starnoma.channel.sample_cascade_batch`` and
-  ``starnoma.channel.sample_leakage_noise_batch``).
+  ``starnoma.channel.sample_leakage_noise_batch``); the cascade sampler
+  must reproduce ``sample_float32_cascade_batch``, its float32-uniform
+  predecessor, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from starnoma.analytic import UserAnalyticParams, conditional_ber
-from starnoma.channel import PathLossParams, SubsurfaceAllocation
+from starnoma.channel import _CASCADE_ROWS, PathLossParams, SubsurfaceAllocation
 from starnoma.errors import InvalidParameterError, NumericError
 from starnoma.noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from starnoma.rules import nonnegative
@@ -296,6 +298,31 @@ def sample_rayleigh_cascade_batch(bs_gain: float, user_gain: float, elements: in
     h = rng.rayleigh(math.sqrt(bs_gain / 2.0), (size, elements))
     g = rng.rayleigh(math.sqrt(user_gain / 2.0), (size, elements))
     return (h * g).sum(axis=1)
+
+
+def sample_float32_cascade_batch(bs_gain: float, user_gain: float, elements: int,
+                                 size: int, rng: np.random.Generator) -> np.ndarray:
+    """Aligned cascaded gains from ``Generator.random(dtype=float32)`` draws.
+
+    The uniform route ``starnoma.channel.sample_cascade_batch`` replaces:
+    the exponentials are ``-log(1 - U)`` of float32 uniforms (``1 - U`` lies
+    in (0, 1], so the log is finite), products and roots are float32 and
+    every row is summed in float64, ``_CASCADE_ROWS`` rows at a time.  The
+    package builds the same uniforms from raw generator words and must
+    match this bit for bit.
+    """
+    if elements == 0:
+        return np.zeros(size)
+    out = np.empty(size)
+    for start in range(0, size, _CASCADE_ROWS):
+        stop = min(size, start + _CASCADE_ROWS)
+        u = rng.random((2, stop - start, elements), dtype=np.float32)
+        np.subtract(1.0, u, out=u)
+        log_u = np.log(u, out=u)                              # -E1, -E2
+        root = np.multiply(log_u[0], log_u[1], out=log_u[0])  # E1 * E2
+        np.sqrt(root, out=root)
+        out[start:stop] = root.sum(axis=1, dtype=np.float64)
+    return math.sqrt(bs_gain * user_gain) * out
 
 
 def sample_interference_batch(bs_gain: float, user_gain: float, elements: int,

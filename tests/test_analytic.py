@@ -49,7 +49,7 @@ class TestQExact:
             assert q_exact(-x) == pytest.approx(1.0 - q_exact(x), abs=1e-15)
 
     def test_unit_argument(self):
-        assert float(q_exact(1.0)) == pytest.approx(0.15865525393145705, rel=1e-14)
+        assert float(q_exact(1.0)) == pytest.approx(0.15865525393145705, rel=1e-14, abs=0)
 
     def test_monotone_to_zero(self):
         xs = np.linspace(0, 30, 100)
@@ -64,15 +64,15 @@ class TestQExact:
         mp.mp.dps = 30
         for x in np.arange(-37.0, 37.5, 1.75):
             expected = float(mp.ncdf(-mp.mpf(float(x))))
-            assert float(q_exact(float(x))) == pytest.approx(expected, rel=1e-12)
+            assert float(q_exact(float(x))) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestQApprox:
     def test_value_at_zero(self):
-        assert float(q_approx(0.0)) == pytest.approx(0.498376232622752, rel=1e-12)
+        assert float(q_approx(0.0)) == pytest.approx(0.498376232622752, rel=1e-12, abs=0)
 
     def test_value_at_one(self):
-        assert float(q_approx(1.0)) == pytest.approx(0.158088543661715, rel=1e-12)
+        assert float(q_approx(1.0)) == pytest.approx(0.158088543661715, rel=1e-12, abs=0)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
@@ -94,13 +94,13 @@ class TestSignCombinations:
     def test_last_user_single_combination(self):
         alloc = PowerAllocation((0.7, 0.3))
         combos = sign_combinations(1, alloc)
-        assert combos.amplitudes == (pytest.approx(math.sqrt(0.3)),)
+        assert combos.amplitudes == (pytest.approx(math.sqrt(0.3), rel=1e-6, abs=0),)
         assert combos.weight == 1.0
 
     def test_first_of_two(self):
         combos = sign_combinations(0, PowerAllocation((0.7, 0.3)))
         assert sorted(combos.amplitudes) == pytest.approx(
-            [0.2889374690289095, 1.3843825840392416])
+            [0.2889374690289095, 1.3843825840392416], rel=1e-6, abs=0)
         assert combos.weight == 0.5
 
     def test_first_of_three_counts(self):
@@ -114,9 +114,10 @@ class TestSignCombinations:
         alloc = PowerAllocation(coeffs)
         for user in range(len(coeffs)):
             combos = sign_combinations(user, alloc)
-            assert combos.weight * len(combos.amplitudes) == pytest.approx(1.0)
+            assert combos.weight * len(combos.amplitudes) == pytest.approx(
+                1.0, rel=1e-6, abs=0)
             assert max(combos.amplitudes) == pytest.approx(
-                sum(alloc.amplitude(j) for j in range(user, len(coeffs))))
+                sum(alloc.amplitude(j) for j in range(user, len(coeffs))), rel=1e-6, abs=0)
 
 
 class TestInterferencePenalty:
@@ -126,13 +127,14 @@ class TestInterferencePenalty:
 
     def test_hand_value(self):
         params = make_params(index=0, gain=1e-6, own=25, zone=50)
-        assert interference_penalty(params, 1e4) == pytest.approx(0.8, rel=1e-12)
+        assert interference_penalty(params, 1e4) == pytest.approx(0.8, rel=1e-12, abs=0)
 
     def test_high_snr_limit(self):
         params = make_params(index=0, gain=1e-6, own=25, zone=50)
         limit = asymptotic_effective_snr(params)
         for snr in (1e8, 1e10):
-            assert effective_snr(params, snr) == pytest.approx(limit, rel=1e-3 * 1e8 / snr + 1e-6)
+            assert effective_snr(params, snr) == pytest.approx(
+                limit, rel=1e-3 * 1e8 / snr + 1e-6, abs=0)
 
     def test_warns_for_nonunit_power(self):
         params = make_params(index=0, coeffs=(0.7, 0.3), power=2.0,
@@ -148,13 +150,14 @@ class TestInterferencePenalty:
 class TestConditionalBer:
     def test_half_at_zero_gain(self):
         params = make_params(index=0, coeffs=(0.5, 0.3, 0.2), own=10, zone=25)
-        assert conditional_ber(0.0, params, 123.0) == pytest.approx(0.5, rel=1e-12)
+        assert conditional_ber(0.0, params, 123.0) == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_single_user_form(self):
         params = make_params(index=0, coeffs=(1.0,), own=50, zone=50)
         phi, snr = 0.1, 500.0
         expected = q_exact(phi * math.sqrt(effective_snr(params, snr)))
-        assert conditional_ber(phi, params, snr) == pytest.approx(float(expected), rel=1e-14)
+        assert conditional_ber(phi, params, snr) == pytest.approx(
+            float(expected), rel=1e-14, abs=0)
 
     def test_matches_decision_region_oracle(self):
         rng = np.random.default_rng(77)
@@ -182,7 +185,7 @@ class TestConditionalBer:
 class TestBerNumeric:
     def test_degenerate_variance_collapses_to_conditional(self):
         params = make_params(own=0, zone=0)
-        assert ber_numeric(params, 100.0) == pytest.approx(0.5)
+        assert ber_numeric(params, 100.0) == pytest.approx(0.5, rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("index,coeffs,own,zone,snr", [
         (0, (1.0,), 50, 50, 100.0),
@@ -194,11 +197,11 @@ class TestBerNumeric:
         params = make_params(index=index, coeffs=coeffs, gain=FIG2_GAIN_U2,
                              own=own, zone=zone)
         assert ber_numeric(params, snr) == pytest.approx(
-            probit_oracle(params, snr), rel=1e-6)
+            probit_oracle(params, snr), rel=1e-6, abs=0)
 
     def test_noise_dominated_limit(self):
         params = make_params()
-        assert ber_numeric(params, 1e-8) == pytest.approx(0.5, rel=1e-4)
+        assert ber_numeric(params, 1e-8) == pytest.approx(0.5, rel=1e-4, abs=0)
 
 
 def _fig5_params(split, user):
@@ -287,7 +290,7 @@ class TestBerClosedForm:
         for snr in (1.0, 10.0, 100.0):
             num = ber_numeric(params, snr)
             closed = ber_closed_form(params, snr)
-            assert closed == pytest.approx(num, rel=0.01)
+            assert closed == pytest.approx(num, rel=0.01, abs=0)
 
     def test_fit_error_propagates_at_depth(self):
         # At deep-tail operating points the closed form inherits the fit's
@@ -323,7 +326,7 @@ class TestBerClosedForm:
     def test_converges_to_floor(self):
         params = make_params(index=0, gain=20.0**-2 * 3.0**-2, own=16, zone=32)
         floor = ber_asymptotic(params)
-        assert ber_closed_form(params, 1e10) == pytest.approx(floor, rel=1e-4)
+        assert ber_closed_form(params, 1e10) == pytest.approx(floor, rel=1e-4, abs=0)
         # approach is monotone from above
         vals = [ber_closed_form(params, s) for s in np.logspace(2, 9, 20)]
         gaps = [v - floor for v in vals]
@@ -348,9 +351,9 @@ class TestBerAsymptotic:
         limit = asymptotic_effective_snr(params)
         # pick the finite snr whose effective value is within epsilon of limit
         snr = 1e12
-        assert effective_snr(params, snr) == pytest.approx(limit, rel=1e-6)
+        assert effective_snr(params, snr) == pytest.approx(limit, rel=1e-6, abs=0)
         assert ber_closed_form(params, snr) == pytest.approx(
-            ber_asymptotic(params), rel=1e-5)
+            ber_asymptotic(params), rel=1e-5, abs=0)
 
 
 class TestImperfectSic:
@@ -361,8 +364,8 @@ class TestImperfectSic:
         return p2, p1_at_2
 
     def test_mixture_limits(self):
-        assert imperfect_sic_mixture(1e-3, 1.0) == pytest.approx(1e-3)
-        assert imperfect_sic_mixture(1e-3, 0.0) == pytest.approx(0.5)
+        assert imperfect_sic_mixture(1e-3, 1.0) == pytest.approx(1e-3, rel=1e-6, abs=0)
+        assert imperfect_sic_mixture(1e-3, 0.0) == pytest.approx(0.5, rel=1e-6, abs=0)
         with pytest.raises(InvalidParameterError):
             imperfect_sic_mixture(1e-3, 1.5)
 
@@ -385,10 +388,12 @@ class TestImperfectSic:
     def test_reduces_to_perfect_when_stage_reliable(self):
         p2, p1_at_2 = self._pair(own=75)
         snr = 10000.0
+        # imperfect - perfect = stage_err * (1/2 - perfect): never below the
+        # perfect value, and never above it by more than the stage error.
         stage_err = ber_closed_form(p1_at_2, snr)
-        assert stage_err < 1e-12
-        assert ber_imperfect_sic(p2, p1_at_2, snr) == pytest.approx(
-            ber_closed_form(p2, snr), rel=1e-6)
+        assert 0.0 < stage_err < 1e-12
+        gap = ber_imperfect_sic(p2, p1_at_2, snr) - ber_closed_form(p2, snr)
+        assert 0.0 <= gap <= stage_err
 
     def test_rejects_other_user_counts(self):
         alloc = PowerAllocation((0.5, 0.3, 0.2))

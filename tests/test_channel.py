@@ -12,6 +12,7 @@ from oracles import (
     cascaded_gain,
     co_zone_users,
     interference_coefficient,
+    sample_float32_cascade_batch,
     sample_interference_batch,
     sample_rayleigh_cascade_batch,
     sample_realization,
@@ -34,7 +35,7 @@ def rng(seed=0):
 
 class TestPathGain:
     def test_inverse_square_at_50m(self):
-        assert path_gain(50, 2) == pytest.approx(4.0e-4, rel=1e-12)
+        assert path_gain(50, 2) == pytest.approx(4.0e-4, rel=1e-12, abs=0)
 
     def test_unit_distance(self):
         assert path_gain(1, 7.3) == 1.0
@@ -42,8 +43,8 @@ class TestPathGain:
     def test_two_hop_product(self):
         # 6**-2 * 50**-2 = 1/90000
         overall = path_gain(6, 2) * path_gain(50, 2)
-        assert overall == pytest.approx(1.1111111111111112e-05, rel=1e-12)
-        assert overall == pytest.approx(1.0 / 90000.0, rel=1e-12)
+        assert overall == pytest.approx(1.1111111111111112e-05, rel=1e-12, abs=0)
+        assert overall == pytest.approx(1.0 / 90000.0, rel=1e-12, abs=0)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(InvalidParameterError):
@@ -53,7 +54,8 @@ class TestPathGain:
 
     def test_params_compose_gains(self):
         pl = PathLossParams(50.0, 6.0)
-        assert pl.overall_gain() == pytest.approx(pl.bs_gain() * pl.user_gain())
+        assert pl.overall_gain() == pytest.approx(pl.bs_gain() * pl.user_gain(),
+                                                  rel=1e-6, abs=0)
         with pytest.raises(InvalidParameterError):
             PathLossParams(50.0, -1.0)
 
@@ -80,15 +82,15 @@ class TestAllocation:
 class TestCltMoments:
     def test_unit_gain_four_elements(self):
         mu, v = clt_moments(1.0, 4)
-        assert mu == pytest.approx(math.pi, rel=1e-12)
-        assert v == pytest.approx(4.0 - math.pi**2 / 4.0, rel=1e-12)
+        assert mu == pytest.approx(math.pi, rel=1e-12, abs=0)
+        assert v == pytest.approx(4.0 - math.pi**2 / 4.0, rel=1e-12, abs=0)
 
     def test_empty_subsurface(self):
         assert clt_moments(0.5, 0) == (0.0, 0.0)
 
     def test_small_gain_fifty_elements(self):
         mu, _ = clt_moments(1.111e-6, 50)
-        assert mu == pytest.approx(0.041392048016516476, rel=1e-12)
+        assert mu == pytest.approx(0.041392048016516476, rel=1e-12, abs=0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -128,8 +130,8 @@ class TestSampling:
         real = sample_realization(alloc, pl, rng(7))
         h2 = np.abs(real.bs_vectors[0]) ** 2
         g2 = np.abs(real.user_vectors[(0, 0)]) ** 2
-        assert h2.mean() == pytest.approx(pl[0].bs_gain(), rel=0.01)
-        assert g2.mean() == pytest.approx(pl[0].user_gain(), rel=0.01)
+        assert h2.mean() == pytest.approx(pl[0].bs_gain(), rel=0.01, abs=0)
+        assert g2.mean() == pytest.approx(pl[0].user_gain(), rel=0.01, abs=0)
 
     def test_requires_one_path_loss_per_user(self):
         alloc, _ = two_user_setup()
@@ -147,7 +149,7 @@ class TestAlignment:
         real = ChannelRealization(alloc, (h,), {(0, 0): g}, real.phases)
         aligned = real.with_phases(0, align_phases(real, 0))
         resp = subsurface_response(aligned, 0, 0)
-        assert abs(resp) == pytest.approx(0.6, rel=1e-12)
+        assert abs(resp) == pytest.approx(0.6, rel=1e-12, abs=0)
         assert resp.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_aligned_gain_is_sum_of_amplitude_products(self):
@@ -156,7 +158,7 @@ class TestAlignment:
         for k in range(2):
             expected = np.sum(np.abs(real.bs_vectors[k])
                               * np.abs(real.user_vectors[(k, k)]))
-            assert cascaded_gain(real, k) == pytest.approx(expected, rel=1e-12)
+            assert cascaded_gain(real, k) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -182,12 +184,12 @@ class TestAlignment:
             real = sample_realization(alloc, pl, r)
             gains[i] = cascaded_gain(real.with_phases(0, align_phases(real, 0)), 0)
         mu, v = clt_moments(pl[0].overall_gain(), n_elem)
-        assert gains.mean() == pytest.approx(mu, rel=0.01)
-        assert gains.var() == pytest.approx(v, rel=0.05)
+        assert gains.mean() == pytest.approx(mu, rel=0.01, abs=0)
+        assert gains.var() == pytest.approx(v, rel=0.05, abs=0)
 
     def test_single_element_unit_gain_mean(self):
         vals = sample_cascade_batch(1.0, 1.0, 1, 400_000, rng(3))
-        assert vals.mean() == pytest.approx(math.pi / 4.0, rel=0.005)
+        assert vals.mean() == pytest.approx(math.pi / 4.0, rel=0.005, abs=0)
 
 
 class TestInterference:
@@ -217,7 +219,7 @@ class TestInterference:
         L = pl[0].overall_gain()
         var_expected = L * alloc.co_zone_elements(0)
         assert np.abs(vals) .var(ddof=0) > 0  # sanity: nondegenerate
-        assert np.mean(np.abs(vals) ** 2) == pytest.approx(var_expected, rel=0.05)
+        assert np.mean(np.abs(vals) ** 2) == pytest.approx(var_expected, rel=0.05, abs=0)
         # zero-mean within 3 sigma of the estimator for each part
         se = math.sqrt(var_expected / 2.0 / n_draws)
         assert abs(vals.real.mean()) < 3 * se
@@ -234,15 +236,15 @@ class TestInterference:
         batch = sample_interference_batch(pl[0].bs_gain(), pl[0].user_gain(),
                                           alloc.co_zone_elements(0), n_draws, rng(14))
         assert np.mean(np.abs(batch) ** 2) == pytest.approx(
-            np.mean(np.abs(obj) ** 2), rel=0.06)
+            np.mean(np.abs(obj) ** 2), rel=0.06, abs=0)
         # real parts carry half the power in both paths
-        assert batch.real.var() == pytest.approx(obj.real.var(), rel=0.08)
+        assert batch.real.var() == pytest.approx(obj.real.var(), rel=0.08, abs=0)
 
     def test_batch_variance_large_sample(self):
         bs_gain, user_gain, extra = 4e-4, 1/16.0, 25
         vals = sample_interference_batch(bs_gain, user_gain, extra, 400_000, rng(15))
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(
-            bs_gain * user_gain * extra, rel=0.02)
+            bs_gain * user_gain * extra, rel=0.02, abs=0)
 
 
 class TestLeakageNoise:
@@ -262,18 +264,18 @@ class TestLeakageNoise:
         per_element = sample_interference_batch(self.BS, self.USER, self.EXTRA,
                                                 self.DRAWS, rng(32)).real
         for vals in (collapsed, per_element):
-            assert np.mean(vals**2) == pytest.approx(second, rel=0.015)
-            assert np.mean(vals**4) == pytest.approx(fourth, rel=0.04)
+            assert np.mean(vals**2) == pytest.approx(second, rel=0.015, abs=0)
+            assert np.mean(vals**4) == pytest.approx(fourth, rel=0.04, abs=0)
 
     def test_noise_variance_adds(self):
         noise_var = 3e-5
         alone = sample_leakage_noise_batch(self.BS, self.USER, 0, noise_var,
                                            self.DRAWS, rng(33))
-        assert np.mean(alone**2) == pytest.approx(noise_var, rel=0.015)
+        assert np.mean(alone**2) == pytest.approx(noise_var, rel=0.015, abs=0)
         both = sample_leakage_noise_batch(self.BS, self.USER, self.EXTRA, noise_var,
                                           self.DRAWS, rng(34))
         assert np.mean(both**2) == pytest.approx(
-            noise_var + self.BS * self.USER / 2.0 * self.EXTRA, rel=0.015)
+            noise_var + self.BS * self.USER / 2.0 * self.EXTRA, rel=0.015, abs=0)
 
 
 class TestBatchCascade:
@@ -288,8 +290,8 @@ class TestBatchCascade:
             obj[i] = cascaded_gain(real.with_phases(0, align_phases(real, 0)), 0)
         batch = sample_cascade_batch(pl[0].bs_gain(), pl[0].user_gain(),
                                      16, n_draws, rng(18))
-        assert batch.mean() == pytest.approx(obj.mean(), rel=0.01)
-        assert batch.var() == pytest.approx(obj.var(), rel=0.08)
+        assert batch.mean() == pytest.approx(obj.mean(), rel=0.01, abs=0)
+        assert batch.var() == pytest.approx(obj.var(), rel=0.08, abs=0)
 
     def test_zero_elements(self):
         assert np.all(sample_cascade_batch(1.0, 1.0, 0, 10, rng(0)) == 0.0)
@@ -311,19 +313,36 @@ class TestBatchCascade:
     def test_float32_draws_lose_nothing_measurable(self):
         # The float32 route against float64 arithmetic on the very same
         # uniforms (worst relative gap measured: 3e-8); 5000 rows cross a
-        # chunk boundary.
-        class Recording:
-            def __init__(self, inner):
-                self.inner, self.drawn = inner, []
-
-            def random(self, shape, dtype):
-                u = self.inner.random(shape, dtype=dtype)
-                self.drawn.append(u.copy())
-                return u
-
-        recording = Recording(rng(43))
-        got = sample_cascade_batch(4e-4, 1 / 36.0, 50, 5000, recording)
-        u = np.concatenate(recording.drawn, axis=1).astype(np.float64)
+        # chunk boundary.  A twin generator on the same seed regenerates
+        # the uniforms chunk by chunk with Generator.random.
+        got = sample_cascade_batch(4e-4, 1 / 36.0, 50, 5000, rng(43))
+        twin = rng(43)
+        u = np.concatenate([twin.random((2, min(2048, 5000 - start), 50),
+                                        dtype=np.float32)
+                            for start in range(0, 5000, 2048)],
+                           axis=1).astype(np.float64)
         e = -np.log1p(-u)
         want = math.sqrt(4e-4 / 36.0) * np.sqrt(e[0] * e[1]).sum(axis=1)
         assert np.max(np.abs(got / want - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("elements, size", [
+        *((n, m) for n in (1, 7, 25, 50, 75) for m in (1, 2047, 2048, 2049, 5000)),
+        (50, 65536)])
+    def test_raw_words_match_float32_uniforms(self, elements, size):
+        # Same gains bit for bit as Generator.random(dtype=float32), and the
+        # generator left where that route leaves it.
+        new_rng, old_rng = rng(elements * 100_003 + size), rng(elements * 100_003 + size)
+        got = sample_cascade_batch(4e-4, 1 / 36.0, elements, size, new_rng)
+        want = sample_float32_cascade_batch(4e-4, 1 / 36.0, elements, size, old_rng)
+        assert np.array_equal(got, want)
+        # ``uinteger`` is the buffered upper half of the last 64-bit word;
+        # with ``has_uint32 == 0`` it is never read again, and only the
+        # float32 route writes it.
+        new_state, old_state = new_rng.bit_generator.state, old_rng.bit_generator.state
+        assert old_state["has_uint32"] == 0
+        new_state.pop("uinteger")
+        old_state.pop("uinteger")
+        assert new_state == old_state
+        assert np.array_equal(new_rng.random(3, dtype=np.float32),
+                              old_rng.random(3, dtype=np.float32))
+        assert np.array_equal(new_rng.gamma(3.0, 1.0, 3), old_rng.gamma(3.0, 1.0, 3))

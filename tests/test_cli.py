@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import starnoma.cli as cli
 from starnoma.cli import (
@@ -13,6 +16,7 @@ from starnoma.cli import (
     main,
     parse_config,
 )
+from starnoma.engine import DEFAULT_BLOCK_SIZE, default_workers
 from starnoma.errors import ConfigError, NumericError
 
 STAR_CONFIG = {
@@ -37,6 +41,19 @@ def config_path(tmp_path):
 
 def fast_args(extra=()):
     return list(extra) + ["--min-errors", "10", "--max-trials", "70000"]
+
+
+def assert_run_conditions(manifest, workers):
+    """The manifest names everything byte-identical output depends on."""
+    assert manifest["block_size"] == DEFAULT_BLOCK_SIZE
+    assert manifest["workers"] == workers
+    assert manifest["stopping_rule"] == {"min_errors": 10, "max_trials": 70000,
+                                         "target_ci_width": None}
+    assert manifest["versions"] == {
+        "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+        "scipy": scipy.__version__}
+    assert {"tool", "version", "config_hash", "seed", "timestamp", "outputs",
+            "warnings"} <= set(manifest)
 
 
 class TestConfigParsing:
@@ -132,6 +149,14 @@ class TestSweepCommand:
         assert manifest["seed"] == 4
         assert len(manifest["config_hash"]) == 64
 
+    def test_manifest_records_run_conditions(self, config_path, tmp_path):
+        out = tmp_path / "curve.csv"
+        rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+                   "--workers", "2", *fast_args()])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert_run_conditions(manifest, workers=2)
+
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
@@ -189,6 +214,7 @@ class TestFigureCommand:
             assert users == {"1", "2"}
         manifest = json.loads((tmp_path / "f2" / "fig2.manifest.json").read_text())
         assert len(manifest["outputs"]) == 3
+        assert_run_conditions(manifest, workers=default_workers())
 
     def test_fig3_requires_overrides(self, tmp_path, capsys):
         rc = main(["figure", "fig3", "--out", str(tmp_path)])

@@ -304,9 +304,9 @@ class TestSweep:
         for cell in result.cells:
             params = cfg.analytic_params(cell.user)
             assert cell.ber_closed_form == pytest.approx(
-                analytic.ber_closed_form(params, 10.0 ** 1.0), rel=1e-12)
+                analytic.ber_closed_form(params, 10.0 ** 1.0), rel=1e-12, abs=0)
             assert cell.ber_asymptotic == pytest.approx(
-                analytic.ber_asymptotic(params), rel=1e-12)
+                analytic.ber_asymptotic(params), rel=1e-12, abs=0)
 
     def test_no_floor_marked_as_none(self):
         cfg = star_config(same_zone=False)
@@ -322,7 +322,7 @@ class TestSweep:
         cell_u1, cell_u2 = result.cells
         # non-cancelling user is mode independent
         assert cell_u1.ber_closed_form == pytest.approx(
-            analytic.ber_closed_form(cfg.analytic_params(0), 10.0), rel=1e-12)
+            analytic.ber_closed_form(cfg.analytic_params(0), 10.0), rel=1e-12, abs=0)
         assert cell_u2.ber_closed_form > p_perfect
 
     def test_underflow_note_propagates(self):

@@ -14,8 +14,9 @@ from starnoma.noma import DETECTED, GENIE, PowerAllocation
 class TestPowerAllocation:
     def test_amplitudes(self):
         alloc = PowerAllocation((0.7, 0.3), power=1.0)
-        assert alloc.amplitude(0) == pytest.approx(math.sqrt(0.7))
-        assert alloc.amplitudes() == pytest.approx((math.sqrt(0.7), math.sqrt(0.3)))
+        assert alloc.amplitude(0) == pytest.approx(math.sqrt(0.7), rel=1e-6, abs=0)
+        assert alloc.amplitudes() == pytest.approx((math.sqrt(0.7), math.sqrt(0.3)),
+                                                   rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("coeffs", [(0.7, 0.2), (0.3, 0.7), (1.0, 0.0), ()])
     def test_rejects_bad_coefficients(self, coeffs):
@@ -30,8 +31,8 @@ class TestPowerAllocation:
 class TestSuperpose:
     def test_two_user_sum(self):
         alloc = PowerAllocation((0.7, 0.3))
-        assert superpose([1, 1], alloc) == pytest.approx(1.3843825840392416, rel=1e-12)
-        assert superpose([1, -1], alloc) == pytest.approx(0.2889374690289095, rel=1e-12)
+        assert superpose([1, 1], alloc) == pytest.approx(1.3843825840392416, rel=1e-12, abs=0)
+        assert superpose([1, -1], alloc) == pytest.approx(0.2889374690289095, rel=1e-12, abs=0)
 
     def test_count_mismatch(self):
         with pytest.raises(InvalidParameterError):
