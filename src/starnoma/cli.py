@@ -13,6 +13,9 @@ Configs are flat JSON with three sections::
                 "snr_db": 40.0}
     }
 
+The ``system`` and ``users`` fields are those of :class:`ScenarioConfig`
+and :class:`UserSpec`, whose rules check and convert each value: numeric
+fields must be JSON numbers, not ``true``/``false`` or quoted numbers.
 Users are numbered from 1 in configs, options and outputs; indices are
 zero-based inside the package.  Exit codes: 0 success, 1 validation
 failure (including NaN or infinite input), 2 runtime/numeric failure.
@@ -28,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,57 +57,45 @@ from .rules import count, number, power_coefficients
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
 
-_SYSTEM_FIELDS = {
-    "variant": str,
-    "bs_ris_distance": float,
-    "bs_exponent": float,
-    "ris_user_exponent": float,
-    "transmit_power": float,
-    "sic_mode": str,
-    "classical_exponent": float,
-}
-_USER_FIELDS = {
-    "distance": float,
-    "zone": str,
-    "elements": int,
-    "power_coefficient": float,
-    "classical_distance": float,
-}
-_USER_REQUIRED = ("distance", "zone", "elements", "power_coefficient")
-# A one-element list means a list whose entries are each of that type.
-_SWEEP_FIELDS = {"axis": str, "values": [float], "users": [int], "snr_db": float}
+_SWEEP_FIELDS = ("axis", "values", "users", "snr_db")
 
 
 # ---------------------------------------------------------------------------
 # config parsing / serialisation
 
 
-def _coerce(section: str, field: str, value, kind):
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{section}.{field}: not a list (got {value!r})")
-        return [_coerce(section, f"{field}[{i}]", v, kind[0])
-                for i, v in enumerate(value)]
-    try:
-        if kind is float:
-            return float(value)
-        if kind is int:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError("not an integer")
-            return int(value)
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError("not a string")
-            return value
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{field}: {exc} (got {value!r})") from exc
-    raise AssertionError(kind)
+def _section(name: str, raw, allowed: Sequence[str], required: Sequence[str]) -> Dict:
+    """Check a JSON object's field names; the values go to the constructors,
+    whose rules check and convert them."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: missing or not an object")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{name}: unknown field(s) {sorted(unknown)}")
+    for field in required:
+        if field not in raw:
+            raise ConfigError(f"{name}.{field}: required field missing")
+    for field, value in raw.items():
+        # null would otherwise pass as an absent classical_distance.
+        if value is None:
+            raise ConfigError(f"{name}.{field}: null is not allowed")
+    return raw
+
+
+def _schema(cls) -> Tuple[List[str], List[str]]:
+    """The allowed and required field names of a config dataclass's section;
+    ``users`` is a section of its own."""
+    names = [f for f in fields(cls) if f.name != "users"]
+    return ([f.name for f in names],
+            [f.name for f in names if f.default is MISSING])
 
 
 def parse_config(raw: Dict) -> Tuple[ScenarioConfig, Optional[Dict]]:
     """Validate a parsed JSON document and build the scenario.
 
-    Every diagnostic names the offending section and field.
+    The field names come from :class:`ScenarioConfig` and :class:`UserSpec`,
+    which check and convert the values.  Every diagnostic names the
+    offending section and field.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object with sections "
@@ -112,46 +103,27 @@ def parse_config(raw: Dict) -> Tuple[ScenarioConfig, Optional[Dict]]:
     unknown = set(raw) - {"system", "users", "sweep"}
     if unknown:
         raise ConfigError(f"top level: unknown section(s) {sorted(unknown)}")
-    system = raw.get("system")
-    if not isinstance(system, dict):
-        raise ConfigError("system: section missing or not an object")
-    unknown = set(system) - set(_SYSTEM_FIELDS)
-    if unknown:
-        raise ConfigError(f"system: unknown field(s) {sorted(unknown)}")
-    if "variant" not in system:
-        raise ConfigError("system.variant: required field missing")
-    sys_kwargs = {k: _coerce("system", k, v, _SYSTEM_FIELDS[k])
-                  for k, v in system.items()}
+    system = _section("system", raw.get("system"), *_schema(ScenarioConfig))
 
     users_raw = raw.get("users")
     if not isinstance(users_raw, list) or not users_raw:
         raise ConfigError("users: a nonempty list is required")
-    users: List[UserSpec] = []
-    for i, u in enumerate(users_raw):
-        if not isinstance(u, dict):
-            raise ConfigError(f"users[{i}]: expected an object")
-        unknown = set(u) - set(_USER_FIELDS)
-        if unknown:
-            raise ConfigError(f"users[{i}]: unknown field(s) {sorted(unknown)}")
-        for req in _USER_REQUIRED:
-            if req not in u:
-                raise ConfigError(f"users[{i}].{req}: required field missing")
-        kwargs = {k: _coerce(f"users[{i}]", k, v, _USER_FIELDS[k])
-                  for k, v in u.items()}
-        users.append(UserSpec(**kwargs))
+    users = tuple(UserSpec(**_section(f"users[{i}]", u, *_schema(UserSpec)))
+                  for i, u in enumerate(users_raw))
+    config = ScenarioConfig(users=users, **system)
 
-    config = ScenarioConfig(users=tuple(users), **sys_kwargs)
-
-    sweep = raw.get("sweep")
-    if sweep is None:
+    if raw.get("sweep") is None:
         return config, None
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep: expected an object")
-    unknown = set(sweep) - set(_SWEEP_FIELDS)
-    if unknown:
-        raise ConfigError(f"sweep: unknown field(s) {sorted(unknown)}")
-    # run_sweep checks the values against their rules before any trial runs.
-    return config, {k: _coerce("sweep", k, v, _SWEEP_FIELDS[k]) for k, v in sweep.items()}
+    sweep = _section("sweep", raw["sweep"], _SWEEP_FIELDS, ())
+    for field in ("values", "users"):
+        if not isinstance(sweep.get(field, []), list):
+            raise ConfigError(f"sweep.{field}: not a list (got {sweep[field]!r})")
+    # Users stay 1-based here; run_sweep checks their range and the values
+    # before any trial runs.
+    if "users" in sweep:
+        sweep = {**sweep, "users": [count(f"sweep.users[{i}]", u)
+                                    for i, u in enumerate(sweep["users"])]}
+    return config, sweep
 
 
 def load_config(path: str) -> Tuple[ScenarioConfig, Optional[Dict]]:
@@ -169,14 +141,9 @@ def load_config(path: str) -> Tuple[ScenarioConfig, Optional[Dict]]:
 
 
 def config_to_dict(config: ScenarioConfig) -> Dict:
-    users = []
-    for u in config.users:
-        d = asdict(u)
-        if d["classical_distance"] is None:
-            del d["classical_distance"]
-        users.append(d)
-    return {"system": {k: getattr(config, k) for k in _SYSTEM_FIELDS},
-            "users": users}
+    system, _ = _schema(ScenarioConfig)
+    users = [{k: v for k, v in asdict(u).items() if v is not None} for u in config.users]
+    return {"system": {k: getattr(config, k) for k in system}, "users": users}
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -289,33 +256,18 @@ def _check_writable(path: Path) -> None:
 # commands
 
 
-def _parse_int_list(text: str, option: str) -> List[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{option}: expected comma-separated integers, "
-                          f"got {text!r}") from exc
+def _comma_list(item):
+    """An argparse type: comma-separated values, each converted by ``item``.
+    argparse reports a ValueError as a usage error naming the option."""
+    def parse(text: str) -> List:
+        return [item(v) for v in text.split(",") if v != ""]
+    parse.__name__ = f"comma-separated {item.__name__.strip('_')}"
+    return parse
 
 
-def _parse_float_list(text: str, option: str) -> List[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{option}: expected comma-separated numbers, "
-                          f"got {text!r}") from exc
-
-
-def _parse_allocations(text: str) -> List[Tuple[float, float]]:
-    pairs = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ConfigError("--allocations: expected pairs like 0.7:0.3,0.8:0.2")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"--allocations: {exc}") from exc
-    return pairs
+def _power_pair(text: str) -> Tuple[float, float]:
+    a1, a2 = text.split(":")
+    return float(a1), float(a2)
 
 
 def _rule_from_args(args) -> StoppingRule:
@@ -361,7 +313,7 @@ def cmd_sweep(args) -> int:
     users_1based = (args.users if args.users is not None
                     else sweep_section.get("users")
                     or list(range(1, config.n_users + 1)))
-    users = [int(u) - 1 for u in users_1based]
+    users = [u - 1 for u in users_1based]
     snr_db = args.snr_db if args.snr_db is not None else sweep_section.get("snr_db")
 
     out = Path(args.out)
@@ -404,13 +356,11 @@ def _figure_plan(args) -> presets.FigurePlan:
     if name == "fig4":
         return presets.fig4(allocations or [(0.7, 0.3), (0.8, 0.2)], args.elements,
                             snr_db=number("--fixed-snr-db", args.fixed_snr_db))
-    if name == "fig5":
-        if not args.elements:
-            raise ConfigError("fig5 leaves the per-user element split open; "
-                              "pass --elements N1,N2,N3")
-        return presets.fig5(args.elements, snr_values)
-    raise ConfigError(f"--name: unknown figure {name!r}; "
-                      f"choose from {presets.FIGURE_NAMES}")
+    # fig5, the last of the choices argparse allows.
+    if not args.elements:
+        raise ConfigError("fig5 leaves the per-user element split open; "
+                          "pass --elements N1,N2,N3")
+    return presets.fig5(args.elements, snr_values)
 
 
 def cmd_figure(args) -> int:
@@ -467,10 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep an axis and write curve data")
     p.add_argument("--config", required=True)
     p.add_argument("--axis", choices=AXES, default=None)
-    p.add_argument("--values", type=lambda s: _parse_float_list(s, "--values"),
-                   default=None)
-    p.add_argument("--users", type=lambda s: _parse_int_list(s, "--users"),
-                   default=None, help="1-based, comma separated")
+    p.add_argument("--values", type=_comma_list(float), default=None)
+    p.add_argument("--users", type=_comma_list(int), default=None,
+                   help="1-based, comma separated")
     p.add_argument("--snr-db", type=float, default=None,
                    help="fixed SNR for elements/power sweeps")
     p.add_argument("--out", required=True)
@@ -481,13 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="run a figure-reproduction preset")
     p.add_argument("name", choices=presets.FIGURE_NAMES)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--snr-values",
-                   type=lambda s: _parse_float_list(s, "--snr-values"),
-                   default=None)
-    p.add_argument("--elements",
-                   type=lambda s: _parse_int_list(s, "--elements"),
-                   default=None)
-    p.add_argument("--allocations", type=_parse_allocations, default=None)
+    p.add_argument("--snr-values", type=_comma_list(float), default=None)
+    p.add_argument("--elements", type=_comma_list(int), default=None)
+    p.add_argument("--allocations", type=_comma_list(_power_pair), default=None)
     p.add_argument("--fixed-snr-db", type=float, default=40.0,
                    help="operating SNR for element sweeps (fig4)")
     _add_common(p)

@@ -77,7 +77,8 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class UserSpec:
-    """One user's geometry, zone, subsurface size and power share."""
+    """One user's geometry, zone, subsurface size and power share: the schema
+    of a config's ``users`` entries, checked by :class:`ScenarioConfig`."""
 
     distance: float
     zone: str
@@ -88,7 +89,12 @@ class UserSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description for either system variant."""
+    """Full experiment description for either system variant; its fields
+    other than ``users`` are the schema of a config's ``system`` section.
+
+    Each value is stored as its rule in :mod:`starnoma.rules` returns it, so
+    a config built in Python equals and hashes like its JSON form.
+    """
 
     variant: str
     users: Tuple[UserSpec, ...]
@@ -100,20 +106,27 @@ class ScenarioConfig:
     classical_exponent: float = 2.0
 
     def __post_init__(self) -> None:
-        one_of("system.variant", self.variant, VARIANTS)
-        one_of("system.sic_mode", self.sic_mode, SIC_MODES)
-        positive("system.bs_ris_distance", self.bs_ris_distance)
-        positive("system.transmit_power", self.transmit_power)
-        for name in ("bs_exponent", "ris_user_exponent", "classical_exponent"):
-            nonnegative(f"system.{name}", getattr(self, name))
-        for i, u in enumerate(self.users):
-            positive(f"users[{i}].distance", u.distance)
-            one_of(f"users[{i}].zone", u.zone, ZONES)
-            count(f"users[{i}].elements", u.elements)
-            if u.classical_distance is not None:
-                positive(f"users[{i}].classical_distance", u.classical_distance)
-        power_coefficients("users[{}].power_coefficient",
-                           [u.power_coefficient for u in self.users])
+        checked = {
+            "variant": one_of("system.variant", self.variant, VARIANTS),
+            "sic_mode": one_of("system.sic_mode", self.sic_mode, SIC_MODES),
+            "bs_ris_distance": positive("system.bs_ris_distance", self.bs_ris_distance),
+            "transmit_power": positive("system.transmit_power", self.transmit_power),
+            **{name: nonnegative(f"system.{name}", getattr(self, name))
+               for name in ("bs_exponent", "ris_user_exponent", "classical_exponent")},
+        }
+        users = [{
+            "distance": positive(f"users[{i}].distance", u.distance),
+            "zone": one_of(f"users[{i}].zone", u.zone, ZONES),
+            "elements": count(f"users[{i}].elements", u.elements),
+            "classical_distance": None if u.classical_distance is None else
+            positive(f"users[{i}].classical_distance", u.classical_distance),
+        } for i, u in enumerate(self.users)]
+        coeffs = power_coefficients("users[{}].power_coefficient",
+                                    [u.power_coefficient for u in self.users])
+        checked["users"] = tuple(UserSpec(power_coefficient=a, **u)
+                                 for u, a in zip(users, coeffs))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_users(self) -> int:
@@ -477,7 +490,6 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
 def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
               users: Sequence[int], rule: StoppingRule = StoppingRule(),
               seed: int = 0, snr_db: Optional[float] = None,
-              block_size: int = DEFAULT_BLOCK_SIZE,
               workers: Optional[int] = None) -> SweepResult:
     """One BER estimate per (axis value, user) plus aligned analytic series.
 
@@ -510,8 +522,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
             runner = (run_ber_point if config.variant == STAR_VARIANT
                       else run_classical_point)
             est = runner(point_config, point_snr, user, rule, seed,
-                         stream_key=(vi, user), block_size=block_size,
-                         workers=workers)
+                         stream_key=(vi, user), workers=workers)
             closed, numeric, asym, notes = _analytic_cell(point_config, user, point_snr)
             if est.underflow:
                 notes = notes + (f"no errors observed in {est.trials} trials; "

@@ -2,8 +2,8 @@
 
 Each rule raises :class:`ConfigError` naming the field when the value
 breaks it, and otherwise returns the value converted to its Python type.
-Every numeric rule asks for a finite real number first, so NaN and the
-infinities fail all of them.
+Every numeric rule asks for a finite real number first, so NaN, the
+infinities, booleans and numeric strings fail all of them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ def _require(ok: bool, name: str, what: str, value) -> None:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value))
+    # bool is an Integral, but JSON true is not a number.
+    return not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value)))
 
 
 def number(name: str, value) -> float:

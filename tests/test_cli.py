@@ -16,7 +16,13 @@ from starnoma.cli import (
     main,
     parse_config,
 )
-from starnoma.engine import DEFAULT_BLOCK_SIZE, default_workers
+from starnoma.engine import (
+    DEFAULT_BLOCK_SIZE,
+    STAR_VARIANT,
+    ScenarioConfig,
+    UserSpec,
+    default_workers,
+)
 from starnoma.errors import ConfigError, NumericError
 
 STAR_CONFIG = {
@@ -58,11 +64,26 @@ def assert_run_conditions(manifest, workers):
 
 class TestConfigParsing:
     def test_round_trip(self):
-        config, _ = parse_config(STAR_CONFIG)
-        config2, _ = parse_config({"system": config_to_dict(config)["system"],
-                                   "users": config_to_dict(config)["users"]})
-        assert config == config2
-        assert config_hash(config) == config_hash(config2)
+        parsed, _ = parse_config(STAR_CONFIG)
+        # Built in Python with int literals and a float element count.
+        built = ScenarioConfig(variant=STAR_VARIANT, bs_ris_distance=50,
+                               users=(UserSpec(6, "transmission", 8.0, 0.7),
+                                      UserSpec(4, "reflection", 8, 0.3)))
+        for config in (parsed, built):
+            config2, _ = parse_config(json.loads(json.dumps(config_to_dict(config))))
+            assert config == config2
+            assert config_hash(config) == config_hash(config2)
+        assert config_hash(built) == config_hash(parsed)
+        assert type(built.users[0].elements) is int
+        assert type(built.bs_ris_distance) is float
+        assert type(built.users[0].distance) is float
+
+    @pytest.mark.parametrize("field", ["distance", "classical_distance"])
+    def test_null_named(self, field):
+        bad = json.loads(json.dumps(STAR_CONFIG))
+        bad["users"][1][field] = None
+        with pytest.raises(ConfigError, match=rf"users\[1\]\.{field}"):
+            parse_config(bad)
 
     def test_hash_insensitive_to_key_order(self):
         reordered = json.loads(json.dumps(STAR_CONFIG))

@@ -133,6 +133,26 @@ class TestDeterminism:
         assert {(r.errors, r.trials, r.blocks) for r in runs} == {
             (runs[0].errors, 150_000, 3)}
 
+    def test_target_ci_width_stops_at_first_boundary_meeting_it(self):
+        cfg, snr, block, target = star_config(), 30.0, 4096, 0.2
+
+        def point(max_trials, workers=1):
+            rule = StoppingRule(min_errors=1, max_trials=max_trials,
+                                target_ci_width=target)
+            return run_ber_point(cfg, snr, 0, rule, seed=5, block_size=block,
+                                 workers=workers)
+
+        def met(est):
+            lo, hi = wilson_interval(est.errors, est.trials)
+            return hi - lo <= target * est.ber
+
+        est = point(10**7)
+        assert point(10**7, workers=2) == est
+        assert met(est) and est.blocks >= 3 and est.trials == est.blocks * block
+        # One block fewer does not meet the target.
+        earlier = point(est.trials - block)
+        assert earlier.trials == est.trials - block and not met(earlier)
+
     def test_stream_keys_decorrelate_cells(self):
         cfg = star_config()
         rule = StoppingRule(min_errors=50, max_trials=200_000)

@@ -9,7 +9,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import starnoma.cli as cli
@@ -53,6 +53,8 @@ not_positive = non_finite | st.floats(max_value=0.0, allow_nan=False)
 negative = non_finite | st.floats(max_value=-1e-9, allow_nan=False)
 not_a_count = (non_finite | st.integers(max_value=-1)
                | st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()))
+# JSON values that Python's float() and int() would accept.
+not_a_json_number = st.booleans() | st.sampled_from(["6", "0.3", "1e3"])
 
 
 def star_config(**users0):
@@ -271,6 +273,24 @@ class TestCommandLineDefects:
         assert rc == 1
         assert f"sweep.users: {shown} out of range 1..2" in err
 
+    @pytest.mark.parametrize("user, shown", [
+        (True, "sweep.users[0]"), (1.5, "sweep.users[0]"), ("1", "sweep.users[0]"),
+        (0, "sweep.users: user 0 out of range 1..2"),
+        (3, "sweep.users: user 3 out of range 1..2"),
+    ])
+    def test_config_sweep_users(self, tmp_path, capsys, user, shown, blocks):
+        path = write_config(tmp_path / "c.json", with_field("sweep", "users", [user]))
+        rc, err = run_cli(["sweep", "--config", path,
+                           "--out", str(tmp_path / "o.csv"), *FAST], capsys)
+        assert rc == 1 and shown in err and blocks == []
+
+    def test_config_sweep_user_integral_float(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", with_field("sweep", "users", [2.0]))
+        out = tmp_path / "o.csv"
+        rc, err = run_cli(["sweep", "--config", path, "--out", str(out), *FAST], capsys)
+        assert rc == 0, err
+        assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"2"}
+
     def test_existing_output_survives_validation_failure(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", CONFIG)
         out = tmp_path / "keep.csv"
@@ -325,7 +345,9 @@ CONFIG_FIELDS = [
 def test_config_field_property(section, index, field, values, named, tmp_path,
                                capsys, blocks):
     @PROPERTY
-    @given(value=values)
+    @given(value=values | not_a_json_number)
+    @example(value=True)
+    @example(value="6")
     def check(value):
         doc = with_field(section, field, value, index)
         path = write_config(tmp_path / "c.json", doc)
