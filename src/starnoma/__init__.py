@@ -15,7 +15,7 @@ from .analytic import (
     q_exact,
     sign_combinations,
 )
-from .channel import PathLossParams, SubsurfaceAllocation, clt_moments, path_gain
+from .channel import clt_moments, path_gain
 from .engine import (
     BerEstimate,
     ScenarioConfig,

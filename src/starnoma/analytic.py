@@ -92,39 +92,20 @@ class UserAnalyticParams:
         return clt_moments(self.overall_gain, self.own_elements)
 
 
-@dataclass(frozen=True)
-class SignCombinationSet:
-    """Interferer sign combinations of the residual amplitude after SIC.
-
-    One amplitude per sign pattern of the weaker-power users; all patterns
-    are equally likely.
-    """
-
-    amplitudes: Tuple[float, ...]
-    weight: float
-
-    def __post_init__(self) -> None:
-        n = len(self.amplitudes)
-        if n == 0 or n & (n - 1):
-            raise InvalidParameterError("combination count must be a power of two")
-        if abs(self.weight * n - 1.0) > 1e-12:
-            raise InvalidParameterError("weights must sum to one")
-
-
-def sign_combinations(user: int, alloc: PowerAllocation) -> SignCombinationSet:
+def sign_combinations(user: int, alloc: PowerAllocation) -> Tuple[float, ...]:
     """All residual amplitudes sqrt(a_k P) +- sqrt(a_{k+1} P) +- ...
 
     The own term is fixed positive; every sign pattern over the weaker
-    users appears once, with uniform probability 2**-(K - k - 1) in
-    zero-based indexing.
+    users appears once, so there are 2**(K - k - 1) amplitudes in
+    zero-based indexing, all equally likely: a mixture over them is
+    their sum divided by their count.
     """
     if not 0 <= user < alloc.n_users:
         raise InvalidParameterError(f"user index {user} out of range")
-    tail = alloc.amplitudes()[user + 1:]
     amps = [alloc.amplitude(user)]
-    for t in tail:
+    for t in alloc.amplitudes()[user + 1:]:
         amps = [a + s * t for a in amps for s in (+1.0, -1.0)]
-    return SignCombinationSet(tuple(amps), 2.0 ** -(len(tail)))
+    return tuple(amps)
 
 
 def interference_penalty(params: UserAnalyticParams, snr: float) -> float:
@@ -169,19 +150,19 @@ def asymptotic_effective_snr(params: UserAnalyticParams) -> float:
 def conditional_ber(phi, params: UserAnalyticParams, snr: float):
     """Error probability conditioned on the cascaded gain value.
 
-    Mixture over interferer sign patterns of exact Gaussian tails:
-    sum_i w * Q(A_i * phi * sqrt(2 rho snr)).  Accepts scalar or array
-    ``phi``.
+    Uniform mixture over interferer sign patterns of exact Gaussian tails:
+    the mean over i of Q(A_i * phi * sqrt(2 rho snr)).  Accepts scalar or
+    array ``phi``.
     """
     phi_arr = np.asarray(phi, dtype=float)
     if np.any(phi_arr < 0):
         raise InvalidParameterError("cascaded gain must be nonnegative")
-    combos = sign_combinations(params.index, params.alloc)
+    amps = sign_combinations(params.index, params.alloc)
     root = math.sqrt(effective_snr(params, snr))
     total = np.zeros_like(phi_arr)
-    for amp in combos.amplitudes:
+    for amp in amps:
         total = total + q_exact(amp * phi_arr * root)
-    result = combos.weight * total
+    result = total / len(amps)
     return float(result) if np.isscalar(phi) or phi_arr.ndim == 0 else result
 
 
@@ -214,9 +195,8 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
         return float(conditional_ber(mu, params, snr))
     sigma = math.sqrt(v)
     scale = sigma * math.sqrt(effective_snr(params, snr))
-    combos = sign_combinations(params.index, params.alloc)
-    return combos.weight * sum(
-        _positive_gain_tail(amp * scale, mu / sigma) for amp in combos.amplitudes)
+    amps = sign_combinations(params.index, params.alloc)
+    return sum(_positive_gain_tail(amp * scale, mu / sigma) for amp in amps) / len(amps)
 
 
 def _log_erfcx(d: float) -> float:
@@ -248,13 +228,12 @@ def _closed_form_sum(params: UserAnalyticParams, eff_snr: float) -> float:
         raise InvalidParameterError(
             "closed form divides by the gain variance; zero-element users "
             "have none (use the numeric oracle instead)")
-    combos = sign_combinations(params.index, params.alloc)
-    if min(combos.amplitudes) <= 0.0:
+    amps = sign_combinations(params.index, params.alloc)
+    if min(amps) <= 0.0:
         raise InvalidParameterError(
             "a sign combination has non-positive amplitude; the one-sided "
             "tail fit does not cover this allocation")
-    return combos.weight * sum(
-        _closed_form_term(amp, mu, v, eff_snr) for amp in combos.amplitudes)
+    return sum(_closed_form_term(amp, mu, v, eff_snr) for amp in amps) / len(amps)
 
 
 def ber_closed_form(params: UserAnalyticParams, snr: float) -> float:

@@ -17,7 +17,8 @@ The ``system`` and ``users`` fields are those of :class:`ScenarioConfig`
 and :class:`UserSpec`, whose rules check and convert each value: numeric
 fields must be JSON numbers, not ``true``/``false`` or quoted numbers.
 Users are numbered from 1 in configs, options and outputs; indices are
-zero-based inside the package.  Exit codes: 0 success, 1 validation
+zero-based inside the package.  An absent user list means every user; an
+empty one is an error.  Exit codes: 0 success, 1 validation
 failure (including NaN or infinite input), 2 runtime/numeric failure.
 Outputs are written to a temporary file and renamed into place, so a
 failed run leaves earlier outputs untouched.
@@ -281,12 +282,27 @@ def _workers_from_args(args) -> int:
     return count("--workers", args.workers, 1)
 
 
+def _user_indices(name: str, users_1based: Optional[Sequence[int]],
+                  n_users: int) -> List[int]:
+    """Zero-based indices of the 1-based users read from ``name``.  No list
+    means every user; an empty one or an unknown user is an error naming
+    ``name``."""
+    if users_1based is None:
+        return list(range(n_users))
+    if not users_1based:
+        raise ConfigError(f"{name} must be nonempty")
+    for u in users_1based:
+        if not 1 <= u <= n_users:
+            raise ConfigError(f"{name}: user {u} out of range 1..{n_users}")
+    return [u - 1 for u in users_1based]
+
+
 def cmd_point(args) -> int:
     config, _ = load_config(args.config)
+    users = _user_indices("--user", None if args.user is None else [args.user],
+                          config.n_users)
     rule = _rule_from_args(args)
     workers = _workers_from_args(args)
-    users = ([args.user - 1] if args.user is not None
-             else list(range(config.n_users)))
     result = run_sweep(config, SNR_AXIS, [number("--snr-db", args.snr_db)], users, rule,
                        seed=args.seed, workers=workers)
     for w in result.warnings:
@@ -310,10 +326,9 @@ def cmd_sweep(args) -> int:
     axis = args.axis or sweep_section.get("axis")
     values = (args.values if args.values is not None
               else sweep_section.get("values", ()))
-    users_1based = (args.users if args.users is not None
-                    else sweep_section.get("users")
-                    or list(range(1, config.n_users + 1)))
-    users = [u - 1 for u in users_1based]
+    name, users_1based = (("--users", args.users) if args.users is not None
+                          else ("sweep.users", sweep_section.get("users")))
+    users = _user_indices(name, users_1based, config.n_users)
     snr_db = args.snr_db if args.snr_db is not None else sweep_section.get("snr_db")
 
     out = Path(args.out)

@@ -36,8 +36,6 @@ from . import analytic
 from .analytic import UserAnalyticParams
 from .channel import (
     ZONES,
-    PathLossParams,
-    SubsurfaceAllocation,
     clt_moments,
     path_gain,
     sample_cascade_batch,
@@ -136,16 +134,23 @@ class ScenarioConfig:
         return PowerAllocation(tuple(u.power_coefficient for u in self.users),
                                self.transmit_power)
 
-    def allocation(self) -> SubsurfaceAllocation:
-        return SubsurfaceAllocation(tuple(u.elements for u in self.users),
-                                    tuple(u.zone for u in self.users))
+    def bs_gain(self) -> float:
+        """Per-element gain of the BS-surface hop."""
+        return path_gain(self.bs_ris_distance, self.bs_exponent)
 
-    def path_loss(self, user: int) -> PathLossParams:
-        return PathLossParams(self.bs_ris_distance, self.users[user].distance,
-                              self.bs_exponent, self.ris_user_exponent)
+    def user_gain(self, user: int) -> float:
+        """Per-element gain of the surface-user hop of ``user``."""
+        return path_gain(self.users[user].distance, self.ris_user_exponent)
 
     def overall_gain(self, user: int) -> float:
-        return self.path_loss(user).overall_gain()
+        """Composite per-element gain of the cascaded link."""
+        return self.bs_gain() * self.user_gain(user)
+
+    def zone_elements(self, user: int) -> int:
+        """Element count of the surface part serving ``user``, its own
+        subsurface included."""
+        zone = self.users[user].zone
+        return sum(u.elements for u in self.users if u.zone == zone)
 
     def classical_gain(self, user: int) -> float:
         d = self.users[user].classical_distance
@@ -157,13 +162,12 @@ class ScenarioConfig:
     def analytic_params(self, user: int) -> UserAnalyticParams:
         if self.variant != STAR_VARIANT:
             raise ConfigError("analytic parameters exist for the surface variant only")
-        alloc = self.allocation()
         return UserAnalyticParams(
             index=user,
             alloc=self.power_allocation(),
             overall_gain=self.overall_gain(user),
-            own_elements=alloc.counts[user],
-            zone_elements=alloc.zone_total(user),
+            own_elements=self.users[user].elements,
+            zone_elements=self.zone_elements(user),
         )
 
 
@@ -174,9 +178,8 @@ def ordering_warnings(config: ScenarioConfig) -> Tuple[str, ...]:
     variant) or the single-hop gain (classical variant).
     """
     if config.variant == STAR_VARIANT:
-        alloc = config.allocation()
-        strength = [clt_moments(config.overall_gain(k), alloc.counts[k])[0]
-                    for k in range(config.n_users)]
+        strength = [clt_moments(config.overall_gain(k), u.elements)[0]
+                    for k, u in enumerate(config.users)]
         label = "mean cascaded gain"
     else:
         strength = [config.classical_gain(k) for k in range(config.n_users)]
@@ -281,13 +284,12 @@ def _make_plan(config: ScenarioConfig, user: int) -> _TrialPlan:
             power=config.transmit_power, own_elements=0, bs_gain=0.0,
             user_gain=0.0, co_zone_elements=0,
             classical=True, classical_gain=config.classical_gain(user))
-    alloc = config.allocation()
-    pl = config.path_loss(user)
+    own = config.users[user].elements
     return _TrialPlan(
         amplitudes=amps, user=user, sic_mode=config.sic_mode,
-        power=config.transmit_power, own_elements=alloc.counts[user],
-        bs_gain=pl.bs_gain(), user_gain=pl.user_gain(),
-        co_zone_elements=alloc.co_zone_elements(user))
+        power=config.transmit_power, own_elements=own,
+        bs_gain=config.bs_gain(), user_gain=config.user_gain(user),
+        co_zone_elements=config.zone_elements(user) - own)
 
 
 def _block_errors(plan: _TrialPlan, snr: float, rng: np.random.Generator, m: int) -> int:
@@ -507,6 +509,8 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
             raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
         snr_db = number("sweep.snr_db", snr_db)
     user_list = tuple(int(u) for u in users)
+    if not user_list:
+        raise ConfigError("sweep.users must be nonempty")
     for u in user_list:
         if not 0 <= u < config.n_users:
             raise ConfigError(f"sweep.users: user {u + 1} out of range "

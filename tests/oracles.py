@@ -14,8 +14,10 @@ Two groups of reference models live here:
   1e-6 relative down to BER ~1e-14) and ``mpmath_oracle`` (50-digit
   quadrature for the deep tail).
 * The per-element channel model and the scalar receiver the vectorised
-  Monte Carlo engine is checked against.  ``sample_realization`` draws
-  every fading vector of one coherence interval, ``align_phases`` /
+  Monte Carlo engine is checked against.  ``sample_realization(config,
+  rng)`` draws every fading vector of one coherence interval of a
+  ``ScenarioConfig`` (its users' subsurfaces, zones and hop gains, read
+  from the config), ``align_phases`` /
   ``align_all`` set the surface phases, and ``subsurface_response``,
   ``cascaded_gain`` and ``interference_coefficient`` read the composite
   coefficients off a realization.  ``sample_rayleigh_cascade_batch`` and
@@ -44,7 +46,8 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from starnoma.analytic import UserAnalyticParams, conditional_ber
-from starnoma.channel import _CASCADE_ROWS, PathLossParams, SubsurfaceAllocation
+from starnoma.channel import _CASCADE_ROWS
+from starnoma.engine import ScenarioConfig
 from starnoma.errors import InvalidParameterError, NumericError
 from starnoma.noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from starnoma.rules import nonnegative
@@ -184,13 +187,14 @@ def mpmath_oracle(params: UserAnalyticParams, snr: float) -> float:
 class ChannelRealization:
     """One draw of every fading vector plus the surface phase configuration.
 
-    ``bs_vectors[i]`` is the BS-to-subsurface-i vector (length ``counts[i]``),
+    ``bs_vectors[i]`` is the BS-to-subsurface-i vector (one entry per
+    element of user i's subsurface),
     ``user_vectors[(k, i)]`` the subsurface-i-to-user-k vector for every
     subsurface in user k's own zone, and ``phases[i]`` the applied phase of
     each element of subsurface i.
     """
 
-    alloc: SubsurfaceAllocation
+    config: ScenarioConfig
     bs_vectors: Tuple[np.ndarray, ...]
     user_vectors: Dict[Tuple[int, int], np.ndarray]
     phases: Tuple[np.ndarray, ...]
@@ -201,10 +205,11 @@ class ChannelRealization:
         return replace(self, phases=tuple(new))
 
 
-def co_zone_users(alloc: SubsurfaceAllocation, user: int) -> Tuple[int, ...]:
+def co_zone_users(config: ScenarioConfig, user: int) -> Tuple[int, ...]:
     """The other users served by the same surface part as ``user``."""
-    zone = alloc.zones[user]
-    return tuple(i for i, z in enumerate(alloc.zones) if z == zone and i != user)
+    zone = config.users[user].zone
+    return tuple(i for i, u in enumerate(config.users)
+                 if u.zone == zone and i != user)
 
 
 def _complex_normal(rng: np.random.Generator, variance: float, size: int) -> np.ndarray:
@@ -213,30 +218,23 @@ def _complex_normal(rng: np.random.Generator, variance: float, size: int) -> np.
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def sample_realization(
-    alloc: SubsurfaceAllocation,
-    path_loss: Sequence[PathLossParams],
-    rng: np.random.Generator,
-) -> ChannelRealization:
+def sample_realization(config: ScenarioConfig,
+                       rng: np.random.Generator) -> ChannelRealization:
     """Draw all fading vectors for one coherence interval.
 
     Every BS-side entry is i.i.d. complex Gaussian with per-entry variance
     equal to the BS-hop gain; every user-side entry uses the receiving
     user's own second-hop gain.  Phases start at zero.
     """
-    if len(path_loss) != alloc.n_users:
-        raise InvalidParameterError("one PathLossParams per user required")
-    bs_vectors = tuple(
-        _complex_normal(rng, path_loss[i].bs_gain(), alloc.counts[i])
-        for i in range(alloc.n_users)
-    )
+    counts = [u.elements for u in config.users]
+    bs_vectors = tuple(_complex_normal(rng, config.bs_gain(), n) for n in counts)
     user_vectors: Dict[Tuple[int, int], np.ndarray] = {}
-    for k in range(alloc.n_users):
-        gain = path_loss[k].user_gain()
-        for i in (k, *co_zone_users(alloc, k)):
-            user_vectors[(k, i)] = _complex_normal(rng, gain, alloc.counts[i])
-    phases = tuple(np.zeros(n) for n in alloc.counts)
-    return ChannelRealization(alloc, bs_vectors, user_vectors, phases)
+    for k in range(config.n_users):
+        gain = config.user_gain(k)
+        for i in (k, *co_zone_users(config, k)):
+            user_vectors[(k, i)] = _complex_normal(rng, gain, counts[i])
+    phases = tuple(np.zeros(n) for n in counts)
+    return ChannelRealization(config, bs_vectors, user_vectors, phases)
 
 
 def align_phases(realization: ChannelRealization, user: int) -> np.ndarray:
@@ -255,7 +253,7 @@ def align_phases(realization: ChannelRealization, user: int) -> np.ndarray:
 def align_all(realization: ChannelRealization) -> ChannelRealization:
     """Align every subsurface to the user it serves."""
     out = realization
-    for k in range(realization.alloc.n_users):
+    for k in range(realization.config.n_users):
         out = out.with_phases(k, align_phases(realization, k))
     return out
 
@@ -280,7 +278,7 @@ def interference_coefficient(realization: ChannelRealization, user: int) -> comp
     contributes under mode switching.
     """
     total = 0j
-    for i in co_zone_users(realization.alloc, user):
+    for i in co_zone_users(realization.config, user):
         total += subsurface_response(realization, user, i)
     return total
 

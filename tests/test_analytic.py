@@ -93,30 +93,26 @@ class TestQApprox:
 class TestSignCombinations:
     def test_last_user_single_combination(self):
         alloc = PowerAllocation((0.7, 0.3))
-        combos = sign_combinations(1, alloc)
-        assert combos.amplitudes == (pytest.approx(math.sqrt(0.3), rel=1e-6, abs=0),)
-        assert combos.weight == 1.0
+        amps = sign_combinations(1, alloc)
+        assert amps == (pytest.approx(math.sqrt(0.3), rel=1e-6, abs=0),)
 
     def test_first_of_two(self):
-        combos = sign_combinations(0, PowerAllocation((0.7, 0.3)))
-        assert sorted(combos.amplitudes) == pytest.approx(
+        amps = sign_combinations(0, PowerAllocation((0.7, 0.3)))
+        assert sorted(amps) == pytest.approx(
             [0.2889374690289095, 1.3843825840392416], rel=1e-6, abs=0)
-        assert combos.weight == 0.5
 
     def test_first_of_three_counts(self):
-        combos = sign_combinations(0, PowerAllocation((0.5, 0.3, 0.2)))
-        assert len(combos.amplitudes) == 4
-        assert combos.weight == 0.25
+        assert len(sign_combinations(0, PowerAllocation((0.5, 0.3, 0.2)))) == 4
 
     @pytest.mark.parametrize("coeffs", [(1.0,), (0.7, 0.3), (0.5, 0.3, 0.2),
                                         (0.4, 0.3, 0.2, 0.1)])
     def test_weights_sum_to_one_and_all_plus_invariant(self, coeffs):
         alloc = PowerAllocation(coeffs)
         for user in range(len(coeffs)):
-            combos = sign_combinations(user, alloc)
-            assert combos.weight * len(combos.amplitudes) == pytest.approx(
-                1.0, rel=1e-6, abs=0)
-            assert max(combos.amplitudes) == pytest.approx(
+            # One amplitude per sign pattern, each weighted 1 / count.
+            amps = sign_combinations(user, alloc)
+            assert len(amps) == 2 ** (len(coeffs) - user - 1)
+            assert max(amps) == pytest.approx(
                 sum(alloc.amplitude(j) for j in range(user, len(coeffs))), rel=1e-6, abs=0)
 
 

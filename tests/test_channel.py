@@ -19,18 +19,28 @@ from oracles import (
     subsurface_response,
 )
 from starnoma.channel import (
-    PathLossParams,
-    SubsurfaceAllocation,
     clt_moments,
     path_gain,
     sample_cascade_batch,
     sample_leakage_noise_batch,
 )
+from starnoma.engine import STAR_VARIANT, ScenarioConfig, UserSpec
 from starnoma.errors import InvalidParameterError
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def scenario(counts, zones, distances, bs_ris_distance=50.0, **system):
+    """Surface-variant config with equal power shares; the channel model
+    reads only the geometry, the zones and the element counts."""
+    share = 1.0 / len(counts)
+    return ScenarioConfig(
+        variant=STAR_VARIANT, bs_ris_distance=bs_ris_distance,
+        users=tuple(UserSpec(d, z, n, share)
+                    for n, z, d in zip(counts, zones, distances)),
+        **system)
 
 
 class TestPathGain:
@@ -53,30 +63,24 @@ class TestPathGain:
             path_gain(-3.0, 2)
 
     def test_params_compose_gains(self):
-        pl = PathLossParams(50.0, 6.0)
-        assert pl.overall_gain() == pytest.approx(pl.bs_gain() * pl.user_gain(),
-                                                  rel=1e-6, abs=0)
-        with pytest.raises(InvalidParameterError):
-            PathLossParams(50.0, -1.0)
+        cfg = scenario((4, 3), ("transmission", "reflection"), (6.0, 4.0),
+                       bs_ris_distance=40.0, bs_exponent=2.2, ris_user_exponent=2.7)
+        assert cfg.bs_gain() == path_gain(40.0, 2.2)
+        assert cfg.user_gain(0) == path_gain(6.0, 2.7)
+        assert cfg.user_gain(1) == path_gain(4.0, 2.7)
+        for k in range(2):
+            assert cfg.overall_gain(k) == cfg.bs_gain() * cfg.user_gain(k)
 
 
 class TestAllocation:
     def test_zone_totals(self):
-        alloc = SubsurfaceAllocation((10, 20, 30), ("transmission", "transmission", "reflection"))
-        assert alloc.n_transmission == 30
-        assert alloc.n_reflection == 30
-        assert alloc.zone_total(0) == 30
-        assert alloc.co_zone_elements(0) == 20
-        assert co_zone_users(alloc, 0) == (1,)
-        assert co_zone_users(alloc, 2) == ()
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SubsurfaceAllocation((10,), ("sideways",))
-        with pytest.raises(InvalidParameterError):
-            SubsurfaceAllocation((10, -1), ("transmission", "reflection"))
-        with pytest.raises(InvalidParameterError):
-            SubsurfaceAllocation((10,), ("transmission", "reflection"))
+        cfg = scenario((10, 20, 25), ("transmission", "transmission", "reflection"),
+                       (3.0, 4.0, 5.0))
+        assert [cfg.zone_elements(k) for k in range(3)] == [30, 30, 25]
+        assert [cfg.analytic_params(k).co_zone_elements for k in range(3)] == [20, 10, 0]
+        assert [cfg.analytic_params(k).zone_elements for k in range(3)] == [30, 30, 25]
+        assert co_zone_users(cfg, 0) == (1,)
+        assert co_zone_users(cfg, 2) == ()
 
 
 class TestCltMoments:
@@ -101,60 +105,49 @@ class TestCltMoments:
 
 def two_user_setup(n1=4, n2=3, same_zone=False):
     zones = ("transmission", "transmission" if same_zone else "reflection")
-    alloc = SubsurfaceAllocation((n1, n2), zones)
-    pl = (PathLossParams(50.0, 6.0), PathLossParams(50.0, 4.0))
-    return alloc, pl
+    return scenario((n1, n2), zones, (6.0, 4.0))
 
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        alloc, pl = two_user_setup(same_zone=True)
-        a = sample_realization(alloc, pl, rng(123))
-        b = sample_realization(alloc, pl, rng(123))
+        cfg = two_user_setup(same_zone=True)
+        a = sample_realization(cfg, rng(123))
+        b = sample_realization(cfg, rng(123))
         for i in range(2):
             np.testing.assert_array_equal(a.bs_vectors[i], b.bs_vectors[i])
         for key in a.user_vectors:
             np.testing.assert_array_equal(a.user_vectors[key], b.user_vectors[key])
 
     def test_zero_element_subsurface_is_empty(self):
-        alloc = SubsurfaceAllocation((0, 5), ("transmission", "reflection"))
-        pl = (PathLossParams(50.0, 6.0), PathLossParams(50.0, 4.0))
-        real = sample_realization(alloc, pl, rng(1))
+        cfg = two_user_setup(n1=0, n2=5)
+        real = sample_realization(cfg, rng(1))
         assert real.bs_vectors[0].size == 0
         assert cascaded_gain(align_all(real), 0) == 0.0
 
     def test_entry_variances_match_hop_gains(self):
         # One huge subsurface gives a million i.i.d. entries in one draw.
-        alloc = SubsurfaceAllocation((1_000_000,), ("transmission",))
-        pl = (PathLossParams(50.0, 6.0),)
-        real = sample_realization(alloc, pl, rng(7))
+        cfg = scenario((1_000_000,), ("transmission",), (6.0,))
+        real = sample_realization(cfg, rng(7))
         h2 = np.abs(real.bs_vectors[0]) ** 2
         g2 = np.abs(real.user_vectors[(0, 0)]) ** 2
-        assert h2.mean() == pytest.approx(pl[0].bs_gain(), rel=0.01, abs=0)
-        assert g2.mean() == pytest.approx(pl[0].user_gain(), rel=0.01, abs=0)
-
-    def test_requires_one_path_loss_per_user(self):
-        alloc, _ = two_user_setup()
-        with pytest.raises(InvalidParameterError):
-            sample_realization(alloc, (PathLossParams(50.0, 6.0),), rng(0))
+        assert h2.mean() == pytest.approx(cfg.bs_gain(), rel=0.01, abs=0)
+        assert g2.mean() == pytest.approx(cfg.user_gain(0), rel=0.01, abs=0)
 
 
 class TestAlignment:
     def test_single_element_magnitudes_multiply(self):
-        alloc = SubsurfaceAllocation((1,), ("transmission",))
-        pl = (PathLossParams(50.0, 6.0),)
-        real = sample_realization(alloc, pl, rng(0))
+        cfg = scenario((1,), ("transmission",), (6.0,))
+        real = sample_realization(cfg, rng(0))
         h = np.array([0.3 * np.exp(-1j * math.pi / 3)])
         g = np.array([2.0 * np.exp(-1j * math.pi / 6)])
-        real = ChannelRealization(alloc, (h,), {(0, 0): g}, real.phases)
+        real = ChannelRealization(cfg, (h,), {(0, 0): g}, real.phases)
         aligned = real.with_phases(0, align_phases(real, 0))
         resp = subsurface_response(aligned, 0, 0)
         assert abs(resp) == pytest.approx(0.6, rel=1e-12, abs=0)
         assert resp.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_aligned_gain_is_sum_of_amplitude_products(self):
-        alloc, pl = two_user_setup()
-        real = align_all(sample_realization(alloc, pl, rng(5)))
+        real = align_all(sample_realization(two_user_setup(), rng(5)))
         for k in range(2):
             expected = np.sum(np.abs(real.bs_vectors[k])
                               * np.abs(real.user_vectors[(k, k)]))
@@ -163,10 +156,9 @@ class TestAlignment:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_alignment_dominates_any_phase_choice(self, seed):
-        alloc = SubsurfaceAllocation((6,), ("transmission",))
-        pl = (PathLossParams(50.0, 6.0),)
+        cfg = scenario((6,), ("transmission",), (6.0,))
         r = rng(seed)
-        real = sample_realization(alloc, pl, r)
+        real = sample_realization(cfg, r)
         aligned = cascaded_gain(real.with_phases(0, align_phases(real, 0)), 0)
         random_theta = r.uniform(0.0, 2.0 * math.pi, 6)
         other = abs(subsurface_response(real.with_phases(0, random_theta), 0, 0))
@@ -176,14 +168,13 @@ class TestAlignment:
         # Moderate draw count; the strict large-sample check lives in the
         # acceptance suite.
         n_draws, n_elem = 40_000, 25
-        alloc = SubsurfaceAllocation((n_elem,), ("transmission",))
-        pl = (PathLossParams(50.0, 4.0),)
+        cfg = scenario((n_elem,), ("transmission",), (4.0,))
         r = rng(21)
         gains = np.empty(n_draws)
         for i in range(n_draws):
-            real = sample_realization(alloc, pl, r)
+            real = sample_realization(cfg, r)
             gains[i] = cascaded_gain(real.with_phases(0, align_phases(real, 0)), 0)
-        mu, v = clt_moments(pl[0].overall_gain(), n_elem)
+        mu, v = clt_moments(cfg.overall_gain(0), n_elem)
         assert gains.mean() == pytest.approx(mu, rel=0.01, abs=0)
         assert gains.var() == pytest.approx(v, rel=0.05, abs=0)
 
@@ -194,8 +185,7 @@ class TestAlignment:
 
 class TestInterference:
     def test_sole_occupant_sees_exact_zero(self):
-        alloc, pl = two_user_setup(same_zone=False)
-        real = align_all(sample_realization(alloc, pl, rng(2)))
+        real = align_all(sample_realization(two_user_setup(same_zone=False), rng(2)))
         assert interference_coefficient(real, 0) == 0j
         assert interference_coefficient(real, 1) == 0j
 
@@ -203,21 +193,19 @@ class TestInterference:
         # The reflection-zone user's interference ignores transmission
         # elements entirely, whatever their count.
         for n1 in (1, 64):
-            alloc = SubsurfaceAllocation((n1, 8), ("transmission", "reflection"))
-            pl = (PathLossParams(50.0, 6.0), PathLossParams(50.0, 4.0))
-            real = align_all(sample_realization(alloc, pl, rng(4)))
+            real = align_all(sample_realization(two_user_setup(n1=n1, n2=8), rng(4)))
             assert interference_coefficient(real, 1) == 0j
 
     def test_object_path_statistics(self):
-        alloc, pl = two_user_setup(n1=6, n2=6, same_zone=True)
+        cfg = two_user_setup(n1=6, n2=6, same_zone=True)
         r = rng(11)
         n_draws = 20_000
         vals = np.empty(n_draws, dtype=complex)
         for i in range(n_draws):
-            real = align_all(sample_realization(alloc, pl, r))
+            real = align_all(sample_realization(cfg, r))
             vals[i] = interference_coefficient(real, 0)
-        L = pl[0].overall_gain()
-        var_expected = L * alloc.co_zone_elements(0)
+        L = cfg.overall_gain(0)
+        var_expected = L * cfg.users[1].elements
         assert np.abs(vals) .var(ddof=0) > 0  # sanity: nondegenerate
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(var_expected, rel=0.05, abs=0)
         # zero-mean within 3 sigma of the estimator for each part
@@ -226,15 +214,15 @@ class TestInterference:
         assert abs(vals.imag.mean()) < 3 * se
 
     def test_batch_matches_object_path_law(self):
-        alloc, pl = two_user_setup(n1=5, n2=7, same_zone=True)
+        cfg = two_user_setup(n1=5, n2=7, same_zone=True)
         r = rng(13)
         n_draws = 15_000
         obj = np.empty(n_draws, dtype=complex)
         for i in range(n_draws):
-            real = align_all(sample_realization(alloc, pl, r))
+            real = align_all(sample_realization(cfg, r))
             obj[i] = interference_coefficient(real, 0)
-        batch = sample_interference_batch(pl[0].bs_gain(), pl[0].user_gain(),
-                                          alloc.co_zone_elements(0), n_draws, rng(14))
+        batch = sample_interference_batch(cfg.bs_gain(), cfg.user_gain(0),
+                                          cfg.users[1].elements, n_draws, rng(14))
         assert np.mean(np.abs(batch) ** 2) == pytest.approx(
             np.mean(np.abs(obj) ** 2), rel=0.06, abs=0)
         # real parts carry half the power in both paths
@@ -280,15 +268,14 @@ class TestLeakageNoise:
 
 class TestBatchCascade:
     def test_matches_object_path_moments(self):
-        alloc = SubsurfaceAllocation((16,), ("reflection",))
-        pl = (PathLossParams(20.0, 2.5),)
+        cfg = scenario((16,), ("reflection",), (2.5,), bs_ris_distance=20.0)
         r = rng(17)
         n_draws = 20_000
         obj = np.empty(n_draws)
         for i in range(n_draws):
-            real = sample_realization(alloc, pl, r)
+            real = sample_realization(cfg, r)
             obj[i] = cascaded_gain(real.with_phases(0, align_phases(real, 0)), 0)
-        batch = sample_cascade_batch(pl[0].bs_gain(), pl[0].user_gain(),
+        batch = sample_cascade_batch(cfg.bs_gain(), cfg.user_gain(0),
                                      16, n_draws, rng(18))
         assert batch.mean() == pytest.approx(obj.mean(), rel=0.01, abs=0)
         assert batch.var() == pytest.approx(obj.var(), rel=0.08, abs=0)

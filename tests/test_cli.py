@@ -154,6 +154,7 @@ class TestPointCommand:
         rc = main(["point", "--config", str(config_path), "--snr-db", "5",
                    "--user", "7", *fast_args()])
         assert rc == 1
+        assert "--user: user 7 out of range 1..2" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -221,14 +221,12 @@ class TestPointEstimates:
                             StoppingRule(min_errors=10**9, max_trials=trials), seed=11)
 
         rng = np.random.default_rng(12)
-        alloc = cfg.allocation()
-        pls = tuple(cfg.path_loss(k) for k in range(2))
         palloc = cfg.power_allocation()
         snr = 10 ** (snr_db / 10)
         sigma = math.sqrt(cfg.transmit_power / snr / 2.0)
         errors = 0
         for _ in range(trials):
-            real = align_all(sample_realization(alloc, pls, rng))
+            real = align_all(sample_realization(cfg, rng))
             phi = cascaded_gain(real, 0)
             xi = interference_coefficient(real, 0)
             bits = (1 if rng.random() < 0.5 else -1, 1 if rng.random() < 0.5 else -1)

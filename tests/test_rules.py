@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import starnoma.cli as cli
 import starnoma.engine as engine
 from starnoma.analytic import UserAnalyticParams
-from starnoma.channel import PathLossParams, SubsurfaceAllocation, clt_moments, path_gain
+from starnoma.channel import clt_moments, path_gain
 from starnoma.engine import (
     STAR_VARIANT,
     BerEstimate,
@@ -142,16 +142,12 @@ class TestConstructorsRefuseNonFinite:
         with pytest.raises(ConfigError, match=r"users\[0\]\.distance"):
             star_config(distance=math.inf)
         with pytest.raises(InvalidParameterError):
-            PathLossParams(math.inf, 6.0)
-        with pytest.raises(InvalidParameterError):
             path_gain(math.inf, 2.0)
 
     def test_nan_exponent(self):
         with pytest.raises(ConfigError, match=r"system\.bs_exponent"):
             ScenarioConfig(variant=STAR_VARIANT, bs_exponent=math.nan,
                            users=(UserSpec(3.0, "transmission", 8, 1.0),))
-        with pytest.raises(InvalidParameterError):
-            PathLossParams(50.0, 6.0, bs_exponent=math.nan)
 
     def test_inf_transmit_power(self):
         with pytest.raises(ConfigError, match=r"system\.transmit_power"):
@@ -162,8 +158,7 @@ class TestConstructorsRefuseNonFinite:
 
     def test_other_callers(self):
         alloc = PowerAllocation((0.7, 0.3))
-        for call in (lambda: SubsurfaceAllocation((math.nan,), ("transmission",)),
-                     lambda: clt_moments(math.nan, 4),
+        for call in (lambda: clt_moments(math.nan, 4),
                      lambda: UserAnalyticParams(0, alloc, math.inf, 8, 8),
                      lambda: UserAnalyticParams(0, alloc, 1e-4, 8, 4),
                      lambda: StoppingRule(min_errors=0),
@@ -183,6 +178,8 @@ class TestConstructorsRefuseNonFinite:
             run_sweep(cfg, "snr_db", [0.0, math.inf], [0])
         with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
             run_sweep(cfg, "elements", [4, 8], [0], snr_db=math.nan)
+        with pytest.raises(ConfigError, match=r"sweep\.users must be nonempty"):
+            run_sweep(cfg, "snr_db", [0.0], [])
         # A bad value late in the sweep fails before the first point runs.
         with pytest.raises(ConfigError, match=r"sweep\.values"):
             run_sweep(cfg, "elements", [4, 8.5], [0], snr_db=10.0)
@@ -271,7 +268,29 @@ class TestCommandLineDefects:
         rc, err = run_cli(["sweep", "--config", path, "--users", users,
                            "--out", str(tmp_path / "o.csv"), *FAST], capsys)
         assert rc == 1
-        assert f"sweep.users: {shown} out of range 1..2" in err
+        assert f"--users: {shown} out of range 1..2" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--users", ","], "--users must be nonempty"),
+        (["--users="], "--users must be nonempty"),
+        ([], "sweep.users must be nonempty"),
+    ])
+    def test_empty_user_list_is_refused(self, tmp_path, capsys, argv, named, blocks):
+        path = write_config(tmp_path / "c.json", with_field("sweep", "users", []))
+        out = tmp_path / "o.csv"
+        rc, err = run_cli(["sweep", "--config", path, *argv, "--out", str(out), *FAST],
+                          capsys)
+        assert rc == 1 and named in err and blocks == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_absent_user_list_means_every_user(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(CONFIG))
+        del doc["sweep"]["users"]
+        path = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o.csv"
+        rc, err = run_cli(["sweep", "--config", path, "--out", str(out), *FAST], capsys)
+        assert rc == 0, err
+        assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"1", "2"}
 
     @pytest.mark.parametrize("user, shown", [
         (True, "sweep.users[0]"), (1.5, "sweep.users[0]"), ("1", "sweep.users[0]"),
