@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -50,6 +50,11 @@ def q_exact(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
+def _q(x: float) -> float:
+    # q_exact for one float, without the 0-d array: the same erfc, same bits.
+    return 0.5 * float(erfc(x / math.sqrt(2.0)))
+
+
 def q_approx(x):
     """Exponential tail approximation, valid for nonnegative arguments only."""
     arr = np.asarray(x, dtype=float)
@@ -65,6 +70,9 @@ class UserAnalyticParams:
     ``index`` is zero-based; the weakest (highest-power) user is 0.
     ``zone_elements`` counts all elements of the surface part serving the
     user, so ``zone_elements - own_elements`` is the interference size.
+    ``mean`` and ``variance`` (the Gaussian moments of the aligned cascaded
+    gain, ``clt_moments``) and ``amplitudes`` (``sign_combinations``) are
+    derived once here; the error-rate routines read them as they are.
     """
 
     index: int
@@ -72,12 +80,19 @@ class UserAnalyticParams:
     overall_gain: float
     own_elements: int
     zone_elements: int
+    mean: float = field(init=False, repr=False)
+    variance: float = field(init=False, repr=False)
+    amplitudes: Tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.index < self.alloc.n_users:
             raise InvalidParameterError(f"user index {self.index} out of range")
         count("zone_elements", self.zone_elements, count("own_elements", self.own_elements))
         positive("overall_gain", self.overall_gain)
+        mean, variance = clt_moments(self.overall_gain, self.own_elements)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "amplitudes", sign_combinations(self.index, self.alloc))
 
     @property
     def n_users(self) -> int:
@@ -86,10 +101,6 @@ class UserAnalyticParams:
     @property
     def co_zone_elements(self) -> int:
         return self.zone_elements - self.own_elements
-
-    def gain_moments(self) -> Tuple[float, float]:
-        """Gaussian moments (mean, variance) of the aligned cascaded gain."""
-        return clt_moments(self.overall_gain, self.own_elements)
 
 
 def sign_combinations(user: int, alloc: PowerAllocation) -> Tuple[float, ...]:
@@ -115,8 +126,7 @@ def interference_penalty(params: UserAnalyticParams, snr: float) -> float:
     sole occupant.  The interference term's power scaling is only pinned
     down at unit transmit power, hence the warning otherwise.
     """
-    if snr < 0:
-        raise InvalidParameterError("snr must be nonnegative")
+    nonnegative("snr", snr)
     extra = params.co_zone_elements
     if extra == 0:
         return 1.0
@@ -155,9 +165,9 @@ def conditional_ber(phi, params: UserAnalyticParams, snr: float):
     array ``phi``.
     """
     phi_arr = np.asarray(phi, dtype=float)
-    if np.any(phi_arr < 0):
-        raise InvalidParameterError("cascaded gain must be nonnegative")
-    amps = sign_combinations(params.index, params.alloc)
+    if not np.all(phi_arr >= 0):
+        raise InvalidParameterError("cascaded gain must be nonnegative, not NaN")
+    amps = params.amplitudes
     root = math.sqrt(effective_snr(params, snr))
     total = np.zeros_like(phi_arr)
     for amp in amps:
@@ -170,11 +180,11 @@ def _positive_gain_tail(c: float, m: float) -> float:
     # E[Q(c X) 1{X > 0}] for X ~ N(m, 1), which is the orthant probability
     # P(Z > c X, X > 0) of a bivariate normal in Owen's T form (Owen 1956).
     if c < 0.0:
-        return float(1.0 - q_exact(m)) - _positive_gain_tail(-c, m)
+        return (1.0 - _q(m)) - _positive_gain_tail(-c, m)
     if c == 0.0:
-        return 0.5 * float(1.0 - q_exact(m))
+        return 0.5 * (1.0 - _q(m))
     h = c * m / math.sqrt(1.0 + c * c)
-    return float(0.5 * q_exact(h) - 0.5 * q_exact(m) + owens_t(h, 1.0 / c))
+    return 0.5 * _q(h) - 0.5 * _q(m) + float(owens_t(h, 1.0 / c))
 
 
 def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
@@ -189,13 +199,12 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
     at 120 dB.  The degenerate zero-variance case collapses to the
     conditional error rate at the mean.
     """
-    nonnegative("snr", snr)
-    mu, v = params.gain_moments()
+    mu, v = params.mean, params.variance
     if v == 0.0:
         return float(conditional_ber(mu, params, snr))
     sigma = math.sqrt(v)
     scale = sigma * math.sqrt(effective_snr(params, snr))
-    amps = sign_combinations(params.index, params.alloc)
+    amps = params.amplitudes
     return sum(_positive_gain_tail(amp * scale, mu / sigma) for amp in amps) / len(amps)
 
 
@@ -223,12 +232,12 @@ def _closed_form_term(amp: float, mu: float, v: float, eff_snr: float) -> float:
 
 
 def _closed_form_sum(params: UserAnalyticParams, eff_snr: float) -> float:
-    mu, v = params.gain_moments()
+    mu, v = params.mean, params.variance
     if v == 0.0:
         raise InvalidParameterError(
             "closed form divides by the gain variance; zero-element users "
             "have none (use the numeric oracle instead)")
-    amps = sign_combinations(params.index, params.alloc)
+    amps = params.amplitudes
     if min(amps) <= 0.0:
         raise InvalidParameterError(
             "a sign combination has non-positive amplitude; the one-sided "
@@ -243,7 +252,6 @@ def ber_closed_form(params: UserAnalyticParams, snr: float) -> float:
     expressed through the scaled complementary error function; the only
     gap versus ``ber_numeric`` is the fit's own accuracy.
     """
-    nonnegative("snr", snr)
     return _closed_form_sum(params, effective_snr(params, snr))
 
 

@@ -23,7 +23,12 @@ def _require(ok: bool, name: str, what: str, value) -> None:
 
 
 def _finite(value) -> bool:
-    # bool is an Integral, but JSON true is not a number.
+    # Exact float and int first (the common case); bool is an Integral, but
+    # JSON true is not a number.
+    if type(value) is float:
+        return math.isfinite(value)
+    if type(value) is int:
+        return True
     return not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and math.isfinite(value)))
 

@@ -90,7 +90,7 @@ def probit_oracle(params: UserAnalyticParams, snr: float) -> float:
     valid as an oracle when the gain distribution has negligible mass below
     zero and the upper truncation is immaterial.
     """
-    mu, v = params.gain_moments()
+    mu, v = params.mean, params.variance
     alloc = params.alloc
     k, K = params.index, params.n_users
     amps = [math.sqrt(a * alloc.power) for a in alloc.coefficients]
@@ -122,7 +122,7 @@ def quadrature_oracle(params: UserAnalyticParams, snr: float, rel_tol: float = 1
     tail, where the gain density's mass near zero dominates.
     """
     nonnegative("snr", snr)
-    mu, v = params.gain_moments()
+    mu, v = params.mean, params.variance
     if v == 0.0:
         return float(conditional_ber(mu, params, snr))
     sigma = math.sqrt(v)
@@ -167,7 +167,7 @@ def mpmath_oracle(params: UserAnalyticParams, snr: float) -> float:
         patterns = list(itertools.product((1, -1), repeat=K - k - 1))
         slopes = [(amps[k] + sum(s * a for s, a in zip(signs, amps[k + 1:])))
                   * mp.sqrt(eff) for signs in patterns]
-        mu, v = (mp.mpf(x) for x in params.gain_moments())
+        mu, v = mp.mpf(params.mean), mp.mpf(params.variance)
         sigma = mp.sqrt(v)
 
         def integrand(x):

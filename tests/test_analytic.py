@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from starnoma.analytic import (
     q_exact,
     sign_combinations,
 )
+from starnoma.channel import clt_moments
 from starnoma.errors import (
     InvalidParameterError,
     NoErrorFloor,
@@ -272,6 +274,60 @@ class TestSnrRule:
         with pytest.raises(InvalidParameterError, match="snr"):
             ber_imperfect_sic(params, UserAnalyticParams(0, alloc, FIG2_GAIN_U2, 50, 50),
                               snr)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("zone", [50, 75])
+    def test_penalty_and_effective_snr(self, snr, zone):
+        params = make_params(zone=zone)
+        with pytest.raises(InvalidParameterError, match="snr"):
+            interference_penalty(params, snr)
+        with pytest.raises(InvalidParameterError, match="snr"):
+            effective_snr(params, snr)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+    def test_conditional_snr(self, snr):
+        with pytest.raises(InvalidParameterError, match="snr"):
+            conditional_ber(1.0, make_params(zone=75), snr)
+
+    @pytest.mark.parametrize("phi", [math.nan, [1.0, math.nan], -1.0])
+    def test_conditional_gain(self, phi):
+        with pytest.raises(InvalidParameterError, match="gain"):
+            conditional_ber(phi, make_params(zone=75), 10.0)
+
+
+class TestDerivedFields:
+    """Moments and amplitudes are derived once, at construction."""
+
+    CASES = [
+        *[(f"fig2 n={n} user {k + 1}", presets.fig2(element_counts=[n]).runs[0].config, k)
+          for n in (10, 50, 75) for k in (0, 1)],
+        *[(f"fig5 25/25/50 user {k + 1}", presets.fig5((25, 25, 50)).runs[0].config, k)
+          for k in range(3)],
+    ]
+
+    @staticmethod
+    def assert_derived(params):
+        assert (params.mean, params.variance) == clt_moments(
+            params.overall_gain, params.own_elements)
+        assert params.amplitudes == sign_combinations(params.index, params.alloc)
+
+    @pytest.mark.parametrize("label,config,user", CASES, ids=[c[0] for c in CASES])
+    def test_presets(self, label, config, user):
+        self.assert_derived(config.analytic_params(user))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_four_users(self, index):
+        self.assert_derived(make_params(index=index, coeffs=(0.4, 0.3, 0.2, 0.1),
+                                        gain=FIG2_GAIN_U1, own=16, zone=32))
+
+    def test_replace_rederives(self):
+        params = make_params(index=1, coeffs=(0.5, 0.3, 0.2), own=25, zone=50)
+        moved = replace(params, index=0)
+        self.assert_derived(moved)
+        assert len(moved.amplitudes) == 4 and len(params.amplitudes) == 2
+        regained = replace(params, overall_gain=FIG2_GAIN_U1, own_elements=10)
+        self.assert_derived(regained)
+        assert regained.mean != params.mean
 
 
 class TestBerClosedForm:

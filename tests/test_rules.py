@@ -8,6 +8,7 @@ The command-line tests count Monte Carlo blocks through a patched
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -95,9 +96,19 @@ def with_field(section, field, value, index=None):
     return doc
 
 
+class _Float(float):
+    pass
+
+
 class TestRules:
+    # Only an exact float or int skips the general check: bool, numpy
+    # scalars, float subclasses and numeric strings keep their verdicts.
     @pytest.mark.parametrize("rule", [number, positive, nonnegative, count])
-    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("value", [
+        *NON_FINITE, True, "6",
+        pytest.param(np.float64("nan"), id="numpy-nan"),
+        pytest.param(_Float(math.inf), id="float-subclass-inf"),
+    ])
     def test_numeric_rules_refuse_non_finite(self, rule, value):
         with pytest.raises(ConfigError, match="the_field"):
             rule("the_field", value)
@@ -106,6 +117,7 @@ class TestRules:
         assert positive("d", 2) == 2.0
         assert nonnegative("e", 0) == 0.0
         assert count("n", 4.0) == 4 and isinstance(count("n", 4.0), int)
+        assert positive("d", np.int64(3)) == 3.0 and count("n", np.int64(3)) == 3
         for call in (lambda: positive("d", 0.0), lambda: nonnegative("e", -0.5),
                      lambda: count("n", 2.5), lambda: count("n", 0, 1),
                      lambda: one_of("z", "sideways", ("a", "b")),
