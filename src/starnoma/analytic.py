@@ -12,7 +12,6 @@ imperfect-cancellation combination.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -28,11 +27,6 @@ from .rules import count, nonnegative, positive
 # complex noise-plus-interference power lands on the decision axis, so the
 # effective SNR in every Gaussian-tail argument carries a factor 2.
 COHERENT_SNR_FACTOR = 2.0
-
-
-class PowerConventionWarning(UserWarning):
-    """The interference-penalty formula is only exercised at unit transmit
-    power; for other powers the interference scaling is a modelling choice."""
 
 
 # Coefficients of the one-sided exponential tail fit exp(-a x^2 - b x - c).
@@ -122,29 +116,24 @@ def sign_combinations(user: int, alloc: PowerAllocation) -> Tuple[float, ...]:
 def interference_penalty(params: UserAnalyticParams, snr: float) -> float:
     """SNR deflation caused by same-zone subsurface leakage.
 
-    Evaluates (1 + L * (N_zone - N_own) * snr / P)**-1; exactly 1 for a
-    sole occupant.  The interference term's power scaling is only pinned
-    down at unit transmit power, hence the warning otherwise.
+    Evaluates (1 + L * (N_zone - N_own) * snr / P)**-1, the interferers
+    carrying unit power against noise power P / snr; exactly 1 for a sole
+    occupant.
     """
     nonnegative("snr", snr)
     extra = params.co_zone_elements
     if extra == 0:
         return 1.0
-    power = params.alloc.power
-    if abs(power - 1.0) > 1e-12:
-        warnings.warn(
-            "interference penalty with transmit power != 1 follows the "
-            "printed-form scaling (gamma/P); the simulation engine scales "
-            "interference with the physical power instead",
-            PowerConventionWarning,
-            stacklevel=2,
-        )
-    return 1.0 / (1.0 + params.overall_gain * extra * snr / power)
+    return 1.0 / (1.0 + params.overall_gain * extra * snr / params.alloc.power)
 
 
 def effective_snr(params: UserAnalyticParams, snr: float) -> float:
-    """Decision-axis SNR entering every tail argument: 2 * rho * snr."""
-    return COHERENT_SNR_FACTOR * interference_penalty(params, snr) * snr
+    """Decision-axis SNR entering every tail argument: 2 * rho * snr / P.
+
+    ``snr`` is P / sigma^2 and the amplitudes sqrt(a_k P) already carry the
+    transmit power, so the division keeps P from counting twice.
+    """
+    return COHERENT_SNR_FACTOR * interference_penalty(params, snr) * snr / params.alloc.power
 
 
 def asymptotic_effective_snr(params: UserAnalyticParams) -> float:
@@ -154,14 +143,14 @@ def asymptotic_effective_snr(params: UserAnalyticParams) -> float:
         raise NoErrorFloor(
             f"user {params.index} is the sole occupant of its zone; "
             "its error rate keeps falling with SNR")
-    return COHERENT_SNR_FACTOR * params.alloc.power / (params.overall_gain * extra)
+    return COHERENT_SNR_FACTOR / (params.overall_gain * extra)
 
 
 def conditional_ber(phi, params: UserAnalyticParams, snr: float):
     """Error probability conditioned on the cascaded gain value.
 
     Uniform mixture over interferer sign patterns of exact Gaussian tails:
-    the mean over i of Q(A_i * phi * sqrt(2 rho snr)).  Accepts scalar or
+    the mean over i of Q(A_i * phi * sqrt(2 rho snr / P)).  Accepts scalar or
     array ``phi``.
     """
     phi_arr = np.asarray(phi, dtype=float)
@@ -190,11 +179,11 @@ def _positive_gain_tail(c: float, m: float) -> float:
 def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
     """Exact-tail oracle: conditional error rate averaged over the gain PDF.
 
-    Each sign-combination term E[Q(A phi sqrt(2 rho snr)) 1{phi > 0}] is
+    Each sign-combination term E[Q(A phi sqrt(2 rho snr / P)) 1{phi > 0}] is
     evaluated exactly over ``[0, inf)``, the domain the closed form
     integrates over, so the closed-vs-oracle gap is the tail fit's error
     alone.  Rounding in the Owen's T sum grows with the tail argument's
-    scale A sigma sqrt(2 rho snr): against 50-digit quadrature it is
+    scale A sigma sqrt(2 rho snr / P): against 50-digit quadrature it is
     within 3e-14 relative up to 60 dB on the figure presets and 1.4e-11
     at 120 dB.  The degenerate zero-variance case collapses to the
     conditional error rate at the mean.

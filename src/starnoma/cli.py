@@ -53,7 +53,7 @@ from .engine import (
     run_sweep,
 )
 from .errors import ConfigError, StarNomaError
-from .rules import count, number, power_coefficients
+from .rules import count, power_coefficients, snr_from_db
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
@@ -303,7 +303,8 @@ def cmd_point(args) -> int:
                           config.n_users)
     rule = _rule_from_args(args)
     workers = _workers_from_args(args)
-    result = run_sweep(config, SNR_AXIS, [number("--snr-db", args.snr_db)], users, rule,
+    snr_from_db("--snr-db", args.snr_db)
+    result = run_sweep(config, SNR_AXIS, [args.snr_db], users, rule,
                        seed=args.seed, workers=workers)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -351,8 +352,9 @@ def cmd_sweep(args) -> int:
 
 def _figure_plan(args) -> presets.FigurePlan:
     name = args.name
-    snr_values = [number(f"--snr-values[{i}]", v)
-                  for i, v in enumerate(args.snr_values or ())]
+    snr_values = args.snr_values or []
+    for i, v in enumerate(snr_values):
+        snr_from_db(f"--snr-values[{i}]", v)
     allocations = [power_coefficients(f"--allocations[{j}][{{}}]", pair)
                    for j, pair in enumerate(args.allocations or ())]
     if name == "fig2":
@@ -369,8 +371,9 @@ def _figure_plan(args) -> presets.FigurePlan:
                 "fig3 leaves these parameters open; pass " + " and ".join(missing))
         return presets.fig3(allocations, args.elements, snr_values)
     if name == "fig4":
+        snr_from_db("--fixed-snr-db", args.fixed_snr_db)
         return presets.fig4(allocations or [(0.7, 0.3), (0.8, 0.2)], args.elements,
-                            snr_db=number("--fixed-snr-db", args.fixed_snr_db))
+                            snr_db=args.fixed_snr_db)
     # fig5, the last of the choices argparse allows.
     if not args.elements:
         raise ConfigError("fig5 leaves the per-user element split open; "

@@ -43,7 +43,8 @@ from .channel import (
 )
 from .errors import ConfigError, InvalidParameterError, NoErrorFloor
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
-from .rules import count, nonnegative, number, one_of, positive, power_coefficients
+from .rules import (count, nonnegative, number, one_of, positive, power_coefficients,
+                    snr_from_db)
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -123,6 +124,10 @@ class ScenarioConfig:
                                     [u.power_coefficient for u in self.users])
         checked["users"] = tuple(UserSpec(power_coefficient=a, **u)
                                  for u, a in zip(users, coeffs))
+        for i, u in enumerate(users):
+            if checked["variant"] == CLASSICAL_VARIANT and u["classical_distance"] is None:
+                raise ConfigError(f"users[{i}].classical_distance is required "
+                                  "for the classical variant")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -153,11 +158,8 @@ class ScenarioConfig:
         return sum(u.elements for u in self.users if u.zone == zone)
 
     def classical_gain(self, user: int) -> float:
-        d = self.users[user].classical_distance
-        if d is None:
-            raise ConfigError(f"users[{user}].classical_distance is required "
-                              "for the classical variant")
-        return path_gain(d, self.classical_exponent)
+        """Gain of the single BS-user hop of ``user`` (classical variant)."""
+        return path_gain(self.users[user].classical_distance, self.classical_exponent)
 
     def analytic_params(self, user: int) -> UserAnalyticParams:
         if self.variant != STAR_VARIANT:
@@ -258,63 +260,33 @@ class BerEstimate:
 # trial simulation
 
 
-@dataclass(frozen=True)
-class _TrialPlan:
-    """Precomputed constants for simulating one (config, user) pair."""
-
-    amplitudes: np.ndarray   # sqrt(a_j P), shape (K,)
-    user: int
-    sic_mode: str
-    power: float
-    own_elements: int
-    bs_gain: float           # per-element first-hop gain
-    user_gain: float         # per-element second-hop gain of this receiver
-    co_zone_elements: int
-    classical: bool = False
-    classical_gain: float = 0.0
-
-
-def _make_plan(config: ScenarioConfig, user: int) -> _TrialPlan:
-    if not 0 <= user < config.n_users:
-        raise InvalidParameterError(f"user index {user} out of range")
-    amps = np.array(config.power_allocation().amplitudes())
-    if config.variant == CLASSICAL_VARIANT:
-        return _TrialPlan(
-            amplitudes=amps, user=user, sic_mode=config.sic_mode,
-            power=config.transmit_power, own_elements=0, bs_gain=0.0,
-            user_gain=0.0, co_zone_elements=0,
-            classical=True, classical_gain=config.classical_gain(user))
+def _block_errors(config: ScenarioConfig, user: int, snr: float,
+                  rng: np.random.Generator, m: int) -> int:
+    """Simulate ``m`` trials of ``user``; return the observed own-bit error count."""
+    amplitudes = np.array(config.power_allocation().amplitudes())  # sqrt(a_j P)
+    sigma2 = config.transmit_power / snr
+    bs_gain, user_gain = config.bs_gain(), config.user_gain(user)
     own = config.users[user].elements
-    return _TrialPlan(
-        amplitudes=amps, user=user, sic_mode=config.sic_mode,
-        power=config.transmit_power, own_elements=own,
-        bs_gain=config.bs_gain(), user_gain=config.user_gain(user),
-        co_zone_elements=config.zone_elements(user) - own)
 
-
-def _block_errors(plan: _TrialPlan, snr: float, rng: np.random.Generator, m: int) -> int:
-    """Simulate ``m`` trials; return the observed own-bit error count."""
-    k = plan.user
-    n_users = plan.amplitudes.size
-    sigma2 = plan.power / snr
-
-    if plan.classical:
-        gain = rng.rayleigh(math.sqrt(plan.classical_gain / 2.0), m)
+    if config.variant == CLASSICAL_VARIANT:
+        # One flat-fading BS-user coefficient; no surface, so no leakage.
+        gain = rng.rayleigh(math.sqrt(config.classical_gain(user) / 2.0), m)
+        co_zone = 0
     else:
-        gain = sample_cascade_batch(plan.bs_gain, plan.user_gain,
-                                    plan.own_elements, m, rng)
+        gain = sample_cascade_batch(bs_gain, user_gain, own, m, rng)
+        co_zone = config.zone_elements(user) - own
 
-    bits = rng.integers(0, 2, (m, n_users)) * 2 - 1
+    bits = rng.integers(0, 2, (m, config.n_users)) * 2 - 1
     # Same-zone leakage and noise reach decisions through the real part only.
-    r = gain * (bits @ plan.amplitudes) + sample_leakage_noise_batch(
-        plan.bs_gain, plan.user_gain, plan.co_zone_elements, sigma2 / 2.0, m, rng)
+    r = gain * (bits @ amplitudes) + sample_leakage_noise_batch(
+        bs_gain, user_gain, co_zone, sigma2 / 2.0, m, rng)
 
-    genie = plan.sic_mode == GENIE
-    for j in range(k):
+    genie = config.sic_mode == GENIE
+    for j in range(user):
         sub = bits[:, j] if genie else np.where(r >= 0.0, 1, -1)
-        r = r - plan.amplitudes[j] * gain * sub
+        r = r - amplitudes[j] * gain * sub
     decision = np.where(r >= 0.0, 1, -1)
-    return int(np.count_nonzero(decision != bits[:, k]))
+    return int(np.count_nonzero(decision != bits[:, user]))
 
 
 def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.Generator:
@@ -322,10 +294,13 @@ def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
-               stream_key: Tuple[int, ...], block_size: int,
+def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingRule,
+               seed: int, stream_key: Tuple[int, ...], block_size: int,
                workers: Optional[int]) -> BerEstimate:
-    snr = 10.0 ** (number("snr_db", snr_db) / 10.0)
+    # Checked here: a negative index would silently simulate another user.
+    if count("user", user) >= config.n_users:
+        raise InvalidParameterError(f"user index {user} out of range")
+    snr = snr_from_db("snr_db", snr_db)
     count("seed", seed)
     count("block_size", block_size, 1)
     n_workers = default_workers() if workers is None else count("workers", workers, 1)
@@ -337,7 +312,7 @@ def _run_point(plan: _TrialPlan, snr_db: float, rule: StoppingRule, seed: int,
         return min(block_size, rule.max_trials - b * block_size)
 
     def run_block(b: int) -> int:
-        return _block_errors(plan, snr, _block_rng(seed, stream_key, b),
+        return _block_errors(config, user, snr, _block_rng(seed, stream_key, b),
                              block_trials(b))
 
     errors = 0
@@ -379,8 +354,8 @@ def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,
     if config.variant != STAR_VARIANT:
         raise ConfigError("run_ber_point expects the surface variant; "
                           "use run_classical_point for the baseline")
-    return _run_point(_make_plan(config, user), snr_db, rule, seed,
-                      stream_key, block_size, workers)
+    return _run_point(config, user, snr_db, rule, seed, stream_key, block_size,
+                      workers)
 
 
 def run_classical_point(config: ScenarioConfig, snr_db: float, user: int,
@@ -391,8 +366,8 @@ def run_classical_point(config: ScenarioConfig, snr_db: float, user: int,
     """Same trial loop with a single flat-fading BS-user coefficient."""
     if config.variant != CLASSICAL_VARIANT:
         raise ConfigError("run_classical_point expects the classical variant")
-    return _run_point(_make_plan(config, user), snr_db, rule, seed,
-                      stream_key, block_size, workers)
+    return _run_point(config, user, snr_db, rule, seed, stream_key, block_size,
+                      workers)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +421,7 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
     if config.variant != STAR_VARIANT:
         return float("nan"), float("nan"), None, ()
     params = config.analytic_params(user)
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = snr_from_db("snr_db", snr_db)
     notes: List[str] = []
     nan = float("nan")
 
@@ -500,6 +475,9 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     """
     one_of("sweep.axis", axis, AXES)
     vals = tuple(number(f"sweep.values[{i}]", v) for i, v in enumerate(values))
+    if axis == SNR_AXIS:
+        for i, v in enumerate(vals):
+            snr_from_db(f"sweep.values[{i}]", v)
     if not vals:
         raise ConfigError("sweep.values must be nonempty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -507,12 +485,12 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     if axis != SNR_AXIS:
         if snr_db is None:
             raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
-        snr_db = number("sweep.snr_db", snr_db)
-    user_list = tuple(int(u) for u in users)
+        snr_from_db("sweep.snr_db", snr_db)
+    user_list = tuple(count(f"sweep.users[{i}]", u) for i, u in enumerate(users))
     if not user_list:
         raise ConfigError("sweep.users must be nonempty")
     for u in user_list:
-        if not 0 <= u < config.n_users:
+        if u >= config.n_users:
             raise ConfigError(f"sweep.users: user {u + 1} out of range "
                               f"1..{config.n_users}")
     # Every point's config is built (and so checked) before any trial runs.

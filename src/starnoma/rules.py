@@ -51,6 +51,19 @@ def nonnegative(name: str, value) -> float:
     return float(value)
 
 
+def snr_from_db(name: str, value) -> float:
+    """An SNR in dB, returned as the linear ratio 10**(dB/10), which must be
+    finite and > 0 (so roughly -3240 dB < value < 3080 dB)."""
+    db = number(name, value)
+    try:
+        snr = 10.0 ** (db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    _require(0.0 < snr < math.inf, name,
+             "be an SNR in dB whose linear value is finite and > 0", value)
+    return snr
+
+
 def count(name: str, value, minimum: int = 0) -> int:
     """An integer >= ``minimum``: element counts, error and trial budgets."""
     _require(_finite(value) and value == int(value) and value >= minimum,

@@ -65,7 +65,7 @@ def decision_region_oracle(params: UserAnalyticParams, phi: float, snr: float) -
     k, K = params.index, params.n_users
     amps = [math.sqrt(a * alloc.power) for a in alloc.coefficients]
     noise_var = alloc.power / snr
-    leak_var = params.overall_gain * params.co_zone_elements * alloc.power
+    leak_var = params.overall_gain * params.co_zone_elements  # unit-power interferers
     sigma = math.sqrt((noise_var + leak_var) / 2.0)
 
     def tail(threshold: float) -> float:
@@ -95,7 +95,7 @@ def probit_oracle(params: UserAnalyticParams, snr: float) -> float:
     k, K = params.index, params.n_users
     amps = [math.sqrt(a * alloc.power) for a in alloc.coefficients]
     eff = 2.0 * snr / (1.0 + params.overall_gain * params.co_zone_elements
-                       * snr / alloc.power)
+                       * snr / alloc.power) / alloc.power
     total = 0.0
     patterns = list(itertools.product((1, -1), repeat=K - k - 1))
     for signs in patterns:
@@ -163,7 +163,7 @@ def mpmath_oracle(params: UserAnalyticParams, snr: float) -> float:
         amps = [mp.sqrt(mp.mpf(a) * alloc.power) for a in alloc.coefficients]
         snr_mp = mp.mpf(snr)
         eff = 2 * snr_mp / (1 + mp.mpf(params.overall_gain) * params.co_zone_elements
-                            * snr_mp / alloc.power)
+                            * snr_mp / alloc.power) / alloc.power
         patterns = list(itertools.product((1, -1), repeat=K - k - 1))
         slopes = [(amps[k] + sum(s * a for s, a in zip(signs, amps[k + 1:])))
                   * mp.sqrt(eff) for signs in patterns]

@@ -7,7 +7,6 @@ import pytest
 from oracles import decision_region_oracle, mpmath_oracle, probit_oracle, quadrature_oracle
 from starnoma import presets
 from starnoma.analytic import (
-    PowerConventionWarning,
     UserAnalyticParams,
     asymptotic_effective_snr,
     ber_asymptotic,
@@ -134,11 +133,28 @@ class TestInterferencePenalty:
             assert effective_snr(params, snr) == pytest.approx(
                 limit, rel=1e-3 * 1e8 / snr + 1e-6, abs=0)
 
-    def test_warns_for_nonunit_power(self):
-        params = make_params(index=0, coeffs=(0.7, 0.3), power=2.0,
-                             gain=1e-6, own=25, zone=50)
-        with pytest.warns(PowerConventionWarning):
-            interference_penalty(params, 100.0)
+    @pytest.mark.parametrize("power", [0.25, 4.0])
+    def test_sole_occupant_values_do_not_depend_on_power(self, power):
+        # snr is P / sigma^2 and the amplitudes carry sqrt(P), so without
+        # interference the transmit power drops out of every value.
+        for index in (0, 1):
+            unit = make_params(index=index)
+            scaled = make_params(index=index, power=power)
+            for route in (ber_numeric, ber_closed_form):
+                assert route(scaled, 300.0) == pytest.approx(
+                    route(unit, 300.0), rel=1e-12, abs=0)
+            assert conditional_ber(0.01, scaled, 300.0) == pytest.approx(
+                conditional_ber(0.01, unit, 300.0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("power", [0.25, 4.0])
+    def test_limit_does_not_depend_on_power(self, power):
+        # The amplitudes carry sqrt(P) against unit-power interferers, and
+        # the noise P / snr vanishes: the multiplier tends to 2 / (L N_c).
+        unit = make_params(index=0, gain=1e-6, own=25, zone=50)
+        scaled = make_params(index=0, gain=1e-6, own=25, zone=50, power=power)
+        assert asymptotic_effective_snr(scaled) == asymptotic_effective_snr(unit)
+        assert effective_snr(scaled, 1e12) == pytest.approx(
+            asymptotic_effective_snr(scaled), rel=1e-6, abs=0)
 
     def test_rejects_negative_snr(self):
         with pytest.raises(InvalidParameterError):
@@ -174,6 +190,18 @@ class TestConditionalBer:
             got = conditional_ber(phi, params, snr)
             want = decision_region_oracle(params, phi, snr)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("power", [0.25, 4.0])
+    def test_matches_decision_region_oracle_at_other_powers(self, power):
+        rng = np.random.default_rng(78)
+        for _ in range(10):
+            params = make_params(index=int(rng.integers(0, 2)),
+                                 gain=float(rng.uniform(1e-6, 1e-3)), own=16,
+                                 zone=16 + int(rng.integers(0, 40)), power=power)
+            phi = float(rng.uniform(0.0, 0.5))
+            snr = float(10 ** rng.uniform(0.0, 4.5))
+            assert conditional_ber(phi, params, snr) == pytest.approx(
+                decision_region_oracle(params, phi, snr), abs=1e-10)
 
     def test_rejects_negative_gain_value(self):
         with pytest.raises(InvalidParameterError):

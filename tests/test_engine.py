@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import starnoma.analytic as analytic
 from oracles import (align_all, cascaded_gain, interference_coefficient,
                      sample_realization, sic_receive)
+from starnoma import presets
 from starnoma.engine import (
     CLASSICAL_VARIANT,
     STAR_VARIANT,
@@ -71,10 +73,10 @@ class TestConfigValidation:
             ScenarioConfig(variant="magic", users=(UserSpec(3.0, "transmission", 8, 1.0),))
 
     def test_classical_requires_distance(self):
-        cfg = ScenarioConfig(variant=CLASSICAL_VARIANT,
-                             users=(UserSpec(3.0, "transmission", 0, 1.0),))
-        with pytest.raises(ConfigError, match="classical_distance"):
-            cfg.classical_gain(0)
+        with pytest.raises(ConfigError, match=r"users\[1\]\.classical_distance"):
+            ScenarioConfig(variant=CLASSICAL_VARIANT,
+                           users=(UserSpec(3.0, "transmission", 0, 0.7, 10.0),
+                                  UserSpec(2.0, "reflection", 0, 0.3)))
 
     def test_runner_variant_mismatch(self):
         cfg = star_config()
@@ -177,6 +179,16 @@ class TestPointEstimates:
         rule = StoppingRule(min_errors=round(3000 * BUDGET_SCALE),
                             max_trials=round(1_000_000 * BUDGET_SCALE))
         lo, hi = strict_interval(run_ber_point(cfg, 8.0, 0, rule, seed=5))
+        assert lo <= expected <= hi
+
+    def test_numeric_oracle_matches_monte_carlo_at_power_4(self):
+        # snr is P / sigma^2 and the co-zone interferers carry unit power;
+        # an analytic route that counts P twice is 160x low here.
+        cfg = replace(presets.fig5((25, 25, 50)).runs[0].config, transmit_power=4.0)
+        expected = analytic.ber_numeric(cfg.analytic_params(1), 100.0)
+        rule = StoppingRule(min_errors=round(2000 * BUDGET_SCALE),
+                            max_trials=round(500_000 * BUDGET_SCALE))
+        lo, hi = strict_interval(run_ber_point(cfg, 20.0, 1, rule, seed=13))
         assert lo <= expected <= hi
 
     def test_classical_single_user_matches_textbook_form(self):

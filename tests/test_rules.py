@@ -18,19 +18,24 @@ import starnoma.engine as engine
 from starnoma.analytic import UserAnalyticParams
 from starnoma.channel import clt_moments, path_gain
 from starnoma.engine import (
+    CLASSICAL_VARIANT,
     STAR_VARIANT,
     BerEstimate,
     ScenarioConfig,
     StoppingRule,
     UserSpec,
     run_ber_point,
+    run_classical_point,
     run_sweep,
 )
 from starnoma.errors import ConfigError, InvalidParameterError, NumericError
 from starnoma.noma import PowerAllocation
-from starnoma.rules import count, nonnegative, number, one_of, positive, power_coefficients
+from starnoma.rules import (count, nonnegative, number, one_of, positive, power_coefficients,
+                            snr_from_db)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
+# Finite dB values whose linear SNR overflows to inf or underflows to 0.
+EXTREME_DB = (3090.0, 4000.0, -4000.0)
 
 CONFIG = {
     "system": {"variant": "star-ris-noma", "bs_ris_distance": 50.0,
@@ -195,6 +200,46 @@ class TestConstructorsRefuseNonFinite:
         # A bad value late in the sweep fails before the first point runs.
         with pytest.raises(ConfigError, match=r"sweep\.values"):
             run_sweep(cfg, "elements", [4, 8.5], [0], snr_db=10.0)
+        assert blocks == []
+
+    @pytest.mark.parametrize("db", EXTREME_DB)
+    def test_extreme_snr_db(self, db, blocks):
+        cfg = star_config()
+        with pytest.raises(ConfigError, match="snr_db"):
+            run_ber_point(cfg, db, 0)
+        with pytest.raises(ConfigError, match=r"sweep\.values\[0\]"):
+            run_sweep(cfg, "snr_db", [db], [0])
+        with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
+            run_sweep(cfg, "elements", [4, 8], [0], snr_db=db)
+        assert blocks == []
+
+    def test_snr_from_db_range(self):
+        assert snr_from_db("s", 20.0) == 100.0
+        assert snr_from_db("s", 3000.0) == 1e300
+        assert 0.0 < snr_from_db("s", -3200.0) < 1e-319
+
+    @pytest.mark.parametrize("user", [0.9, True, "1"])
+    def test_sweep_users_are_counts(self, user, blocks):
+        # int() maps each to a valid user, but none is a user index.
+        with pytest.raises(ConfigError, match=r"sweep\.users\[0\]"):
+            run_sweep(star_config(), "snr_db", [0.0], [user])
+        assert blocks == []
+
+    def test_sweep_user_out_of_range(self, blocks):
+        with pytest.raises(ConfigError, match=r"sweep\.users: user 3 out of range 1\.\.2"):
+            run_sweep(star_config(), "snr_db", [0.0], [2])
+        assert blocks == []
+
+    @pytest.mark.parametrize("runner, variant", [(run_ber_point, STAR_VARIANT),
+                                                 (run_classical_point, CLASSICAL_VARIANT)])
+    @pytest.mark.parametrize("user", [-1, 2])
+    def test_point_user_out_of_range(self, runner, variant, user, blocks):
+        # users[-1] would otherwise simulate the last user without an error.
+        cfg = ScenarioConfig(variant=variant, users=(
+            UserSpec(3.0, "transmission", 8, 0.7, classical_distance=7.7),
+            UserSpec(2.5, "reflection", 8, 0.3, classical_distance=7.1)))
+        with pytest.raises(InvalidParameterError, match="user"):
+            runner(cfg, 10.0, user)
         assert blocks == []
 
     def test_underflow_is_derived_from_errors(self):
@@ -418,28 +463,44 @@ def _list(values):
     return ",".join(repr(v) for v in values)
 
 
-@PROPERTY
-@given(bad=non_finite,
-       command=st.sampled_from(["point", "sweep-snr", "sweep-values",
-                                "fig2-snr-values", "fig4-fixed-snr"]))
-def test_option_property(bad, command, tmp_path, capsys, blocks):
+OPTION_COMMANDS = ("point", "sweep-snr", "sweep-values", "fig2-snr-values",
+                   "fig4-fixed-snr")
+
+
+def _option_case(command, bad, tmp_path):
+    """The argv that passes ``bad`` to one SNR option, and the name the
+    error must show."""
     path = write_config(tmp_path / "c.json", CONFIG)
     out = str(tmp_path / "out")
-    argv, named = {
+    return {
         "point": (["point", "--config", path, f"--snr-db={bad!r}"], "--snr-db"),
         "sweep-snr": (["sweep", "--config", path, "--axis", "elements",
                        "--values", "4,8", f"--snr-db={bad!r}", "--out", out],
                       "sweep.snr_db"),
         "sweep-values": (["sweep", "--config", path,
                           f"--values={_list([0.0, bad])}", "--out", out],
-                         "sweep.values"),
+                         "sweep.values[1]"),
         "fig2-snr-values": (["figure", "fig2", "--elements", "4",
                              f"--snr-values={_list([0.0, bad])}", "--out", out],
-                            "--snr-values"),
+                            "--snr-values[1]"),
         "fig4-fixed-snr": (["figure", "fig4", "--elements", "4,8",
                             f"--fixed-snr-db={bad!r}", "--out", out],
                            "--fixed-snr-db"),
     }[command]
+
+
+@PROPERTY
+@given(bad=non_finite, command=st.sampled_from(OPTION_COMMANDS))
+def test_option_property(bad, command, tmp_path, capsys, blocks):
+    argv, named = _option_case(command, bad, tmp_path)
+    rc, err = run_cli(argv + FAST, capsys)
+    assert rc == 1 and named in err and blocks == []
+
+
+@pytest.mark.parametrize("command", OPTION_COMMANDS)
+@pytest.mark.parametrize("db", EXTREME_DB)
+def test_extreme_snr_db_option(command, db, tmp_path, capsys, blocks):
+    argv, named = _option_case(command, db, tmp_path)
     rc, err = run_cli(argv + FAST, capsys)
     assert rc == 1 and named in err and blocks == []
 
