@@ -7,16 +7,20 @@ closed form (a bivariate-normal orthant probability written with Owen's
 T function), the exponential-approximation closed form, its high-SNR
 limit (the interference-induced error floor), and the two-user
 imperfect-cancellation combination.
+
+The special functions are evaluated here in pure Python on top of
+``math.erfc`` and ``math.exp``, so importing the package does not load
+``scipy.special``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import exp  # a global name for the quadrature loops
 from typing import Tuple
 
 import numpy as np
-from scipy.special import erfc, erfcx, owens_t
 
 from .channel import clt_moments
 from .errors import InvalidParameterError, NoErrorFloor, UnsupportedScenarioError
@@ -35,18 +39,56 @@ FIT_B = 0.7640
 FIT_C = 0.6964
 
 
-def q_exact(x):
-    """Gaussian tail probability via the complementary error function.
+_SQRT_HALF = 0.7071067811865476         # 1/sqrt(2), rounded
+_SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SPLIT = 134217729.0                    # 2**27 + 1, Veltkamp's splitter
+# Past this argument the rounding of x*x or of x/sqrt(2), which costs up to
+# x^2 ulps, is put back to first order (_gauss, _q).
+_EXACT_PAST = 10.0
 
-    Machine accurate wherever the result is representable in double
-    precision (the tail underflows past x of about 37.5).
-    """
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+def _product_error(a: float, b: float) -> float:
+    # a*b - fl(a*b), exactly (Dekker's two-product).
+    p = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _gauss(x: float) -> float:
+    # exp(-x^2 / 2), within 6e-15 relative at any x.
+    g = exp(-0.5 * x * x)
+    if abs(x) > _EXACT_PAST:
+        g *= 1.0 - 0.5 * _product_error(x, x)
+    return g
 
 
 def _q(x: float) -> float:
-    # q_exact for one float, without the 0-d array: the same erfc, same bits.
-    return 0.5 * float(erfc(x / math.sqrt(2.0)))
+    # Q(x) = erfc(x / sqrt 2) / 2.  erfc(r) falls with relative slope ~2r,
+    # so rounding r = x / sqrt 2 costs ~x^2 ulps, and past _EXACT_PAST the
+    # lost part e of r is put back.  Past 38 the tail underflows.
+    r = x * _SQRT_HALF
+    if not _EXACT_PAST < x < 38.0:
+        return 0.5 * math.erfc(r)
+    e = _product_error(x, _SQRT_HALF) + x * _SQRT_HALF_LO
+    return 0.5 * math.erfc(r) * (1.0 - 2.0 * r * e)
+
+
+_q_array = np.frompyfunc(_q, 1, 1)
+
+
+def q_exact(x):
+    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2, for scalars or arrays.
+
+    Within 2e-14 relative wherever the result is representable in double
+    precision (the tail underflows past x of about 37.5).
+    """
+    # [()] returns a numpy scalar for scalar input and the array otherwise.
+    return np.asarray(_q_array(np.asarray(x, dtype=float)), dtype=float)[()]
 
 
 def q_approx(x):
@@ -136,6 +178,13 @@ def effective_snr(params: UserAnalyticParams, snr: float) -> float:
     return COHERENT_SNR_FACTOR * interference_penalty(params, snr) * snr / params.alloc.power
 
 
+def _root_effective_snr(params: UserAnalyticParams, snr: float) -> float:
+    # sqrt(effective_snr) from the roots of its factors: 2 * snr / P
+    # overflows for snr past about 9e307, which rules.snr_from_db accepts.
+    return (math.sqrt(COHERENT_SNR_FACTOR * interference_penalty(params, snr))
+            * math.sqrt(snr) / math.sqrt(params.alloc.power))
+
+
 def asymptotic_effective_snr(params: UserAnalyticParams) -> float:
     """High-SNR limit of ``effective_snr``; only exists with interference."""
     extra = params.co_zone_elements
@@ -157,12 +206,105 @@ def conditional_ber(phi, params: UserAnalyticParams, snr: float):
     if not np.all(phi_arr >= 0):
         raise InvalidParameterError("cascaded gain must be nonnegative, not NaN")
     amps = params.amplitudes
-    root = math.sqrt(effective_snr(params, snr))
+    root = _root_effective_snr(params, snr)
     total = np.zeros_like(phi_arr)
     for amp in amps:
         total = total + q_exact(amp * phi_arr * root)
     result = total / len(amps)
     return float(result) if np.isscalar(phi) or phi_arr.ndim == 0 else result
+
+
+# Gauss-Legendre rules on [0, 1] as (node, weight), correctly rounded from
+# 40-digit values.  Each rule is symmetric about 1/2, so only the nodes
+# below 1/2 are written out.
+def _mirror(half):
+    return half + tuple((1.0 - u, w) for u, w in reversed(half))
+
+
+_GL8 = _mirror((
+    (0.019855071751231884, 0.05061426814518813),
+    (0.10166676129318664, 0.11119051722668724),
+    (0.2372337950418355, 0.15685332293894363),
+    (0.4082826787521751, 0.181341891689181),
+))
+_GL12 = _mirror((
+    (0.009219682876640375, 0.023587668193255914),
+    (0.04794137181476257, 0.05346966299765921),
+    (0.11504866290284765, 0.08003916427167311),
+    (0.2063410228566913, 0.10158371336153296),
+    (0.3160842505009099, 0.1167462682691774),
+    (0.43738329574426554, 0.12457352290670139),
+))
+_GL16 = _mirror((
+    (0.005299532504175033, 0.013576229705877048),
+    (0.02771248846338371, 0.031126761969323947),
+    (0.06718439880608412, 0.04757925584124639),
+    (0.12229779582249849, 0.06231448562776694),
+    (0.19106187779867811, 0.07479799440828837),
+    (0.2709916111713863, 0.08457825969750127),
+    (0.35919822461037054, 0.09130170752246179),
+    (0.4524937450811813, 0.09472530522753425),
+))
+_GL24 = _mirror((
+    (0.00240639000148932, 0.0061706148999936),
+    (0.012635722014345251, 0.014265694314466832),
+    (0.030862723998633622, 0.022138719408709904),
+    (0.056792236497799485, 0.02964929245771839),
+    (0.08999900701304854, 0.03667324070554015),
+    (0.12993790421072282, 0.04309508076597664),
+    (0.17595317403151223, 0.04880932605205694),
+    (0.22728926430558022, 0.05372213505798282),
+    (0.2831032461869774, 0.0577528340268628),
+    (0.3424786601519183, 0.060835236463901696),
+    (0.40444056626319186, 0.06291872817341415),
+    (0.4679715535686972, 0.06396909767337608),
+))
+
+# Owen's T integrand depends on t through t^2 only: the same rules with
+# squared nodes, by node count.
+_SQUARED = {len(rule): tuple((u * u, w) for u, w in rule)
+            for rule in (_GL8, _GL12, _GL16, _GL24)}
+
+# Past t = _OWEN_CUT / h the integrand is below e^-37.8 of its value at 0,
+# so once h a >= _OWEN_CUT, T(h, a) equals T(h, inf) = Q(h)/2 to about
+# 1e-17 relative.
+_OWEN_CUT = 8.7
+
+
+def _owens_t(h: float, a: float) -> float:
+    # Owen's T(h, a) = 1/(2 pi) int_0^a exp(-h^2 (1 + t^2) / 2) / (1 + t^2) dt,
+    # even in h and odd in a.
+    if a < 0.0:
+        return -_owens_t(h, -a)
+    h = abs(h)
+    x = h * a
+    if x >= _OWEN_CUT:
+        return 0.5 * _q(h)
+    if a > 1.0:
+        # Owen (1956): T(h, a) + T(ah, 1/a) = Q(h)/2 + Q(ah)/2 - Q(h) Q(ah).
+        qh, qx = _q(h), _q(x)
+        return 0.5 * qh + qx * (0.5 - qh) - _owens_t(x, 1.0 / a)
+    # Gauss-Legendre on [0, a]: the pole at t = i is at least 2 half-widths
+    # away, and x = h a sets how sharply the Gaussian factor falls across it.
+    n = 8 if x < 1.0 and a < 0.25 else 12 if x < 2.0 else 16 if x < 5.0 else 24
+    k = -0.5 * h * h
+    aa = a * a
+    total = 0.0
+    for u2, w in _SQUARED[n]:
+        t2 = aa * u2
+        total += w * exp(k * t2) / (1.0 + t2)
+    return a * _gauss(h) * total / (2.0 * math.pi)
+
+
+def _tail_difference(m: float, width: float) -> float:
+    # Q(m - width) - Q(m), the normal density integrated over [m - width, m]:
+    # phi(m) width int_0^1 exp(s (m - s/2)) du with s = width u.  Eight
+    # nodes hold it to 1e-16 while |width m| < 2.
+    total = 0.0
+    for u, w in _GL8:
+        s = width * u
+        total += w * exp(s * (m - 0.5 * s))
+    return width * _gauss(m) * total / _SQRT_2PI
 
 
 def _positive_gain_tail(c: float, m: float) -> float:
@@ -172,8 +314,19 @@ def _positive_gain_tail(c: float, m: float) -> float:
         return (1.0 - _q(m)) - _positive_gain_tail(-c, m)
     if c == 0.0:
         return 0.5 * (1.0 - _q(m))
-    h = c * m / math.sqrt(1.0 + c * c)
-    return 0.5 * _q(h) - 0.5 * _q(m) + float(owens_t(h, 1.0 / c))
+    r = math.hypot(1.0, c)
+    h = c * m / r
+    # Q(m) / Q(h) is about exp(-(m - h) m), so once (m - h) m < 2 the
+    # difference Q(h) - Q(m) would lose leading digits and the density is
+    # integrated over [h, m] instead.  The width is written without
+    # cancellation: at large c it is about m / 2c^2, and m minus the
+    # rounded h has no correct digits.  (h has the sign of m, |h| < |m|.)
+    width = m / (r * (r + c))
+    if abs(width * m) < 2.0:
+        tails = _tail_difference(m, width)
+    else:
+        tails = _q(h) - _q(m)
+    return 0.5 * tails + _owens_t(h, 1.0 / c)
 
 
 def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
@@ -182,45 +335,39 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
     Each sign-combination term E[Q(A phi sqrt(2 rho snr / P)) 1{phi > 0}] is
     evaluated exactly over ``[0, inf)``, the domain the closed form
     integrates over, so the closed-vs-oracle gap is the tail fit's error
-    alone.  Rounding in the Owen's T sum grows with the tail argument's
-    scale A sigma sqrt(2 rho snr / P): against 50-digit quadrature it is
-    within 3e-14 relative up to 60 dB on the figure presets and 1.4e-11
-    at 120 dB.  The degenerate zero-variance case collapses to the
+    alone.  Against 50-digit quadrature it is within 2.5e-14 relative up
+    to 60 dB on the figure presets, 2.3e-14 at 120 dB and 1e-14 at
+    snr = 1e16.  The degenerate zero-variance case collapses to the
     conditional error rate at the mean.
     """
     mu, v = params.mean, params.variance
     if v == 0.0:
         return float(conditional_ber(mu, params, snr))
     sigma = math.sqrt(v)
-    scale = sigma * math.sqrt(effective_snr(params, snr))
+    scale = sigma * _root_effective_snr(params, snr)
     amps = params.amplitudes
     return sum(_positive_gain_tail(amp * scale, mu / sigma) for amp in amps) / len(amps)
 
 
-def _log_erfcx(d: float) -> float:
-    # erfcx(d) = exp(d^2) erfc(d); for very negative d the direct call
-    # overflows while erfc(d) is simply 2 to machine precision.
-    if d > -25.0:
-        return float(np.log(erfcx(d)))
-    return d * d + math.log(2.0)
-
-
-def _closed_form_term(amp: float, mu: float, v: float, eff_snr: float) -> float:
+def _closed_form_term(amp: float, mu: float, v: float, root_snr: float) -> float:
     # Exact integral over [0, inf) of the exponential tail fit evaluated at
-    # amp * x * sqrt(eff_snr) against an (unnormalised) Gaussian in x.
-    beta = amp * math.sqrt(eff_snr)
-    d = (FIT_B * beta * v - mu) / math.sqrt(4.0 * FIT_A * beta**2 * v**2 + 2.0 * v)
+    # amp * x * root_snr against an (unnormalised) Gaussian in x.  The
+    # argument d stays below FIT_B / (2 sqrt(FIT_A)) ~ 0.62, where
+    # log(exp(d^2) erfc(d)) = d^2 + log(erfc(d)) needs no scaled form.
+    beta = amp * root_snr
+    bv = beta * v
+    d = (FIT_B * bv - mu) / math.sqrt(4.0 * FIT_A * bv * bv + 2.0 * v)
     log_term = (
         -FIT_C
         - mu * mu / (2.0 * v)
-        + _log_erfcx(d)
+        + d * d + math.log(math.erfc(d))
         - math.log(2.0)
-        - 0.5 * math.log1p(2.0 * FIT_A * beta**2 * v)
+        - 0.5 * math.log1p(2.0 * FIT_A * beta * bv)
     )
     return math.exp(log_term)
 
 
-def _closed_form_sum(params: UserAnalyticParams, eff_snr: float) -> float:
+def _closed_form_sum(params: UserAnalyticParams, root_snr: float) -> float:
     mu, v = params.mean, params.variance
     if v == 0.0:
         raise InvalidParameterError(
@@ -231,17 +378,17 @@ def _closed_form_sum(params: UserAnalyticParams, eff_snr: float) -> float:
         raise InvalidParameterError(
             "a sign combination has non-positive amplitude; the one-sided "
             "tail fit does not cover this allocation")
-    return sum(_closed_form_term(amp, mu, v, eff_snr) for amp in amps) / len(amps)
+    return sum(_closed_form_term(amp, mu, v, root_snr) for amp in amps) / len(amps)
 
 
 def ber_closed_form(params: UserAnalyticParams, snr: float) -> float:
     """Closed-form average error rate under the exponential tail fit.
 
     Each sign-combination term is the exact Gaussian integral of the fit,
-    expressed through the scaled complementary error function; the only
-    gap versus ``ber_numeric`` is the fit's own accuracy.
+    expressed through the complementary error function in log space; the
+    only gap versus ``ber_numeric`` is the fit's own accuracy.
     """
-    return _closed_form_sum(params, effective_snr(params, snr))
+    return _closed_form_sum(params, _root_effective_snr(params, snr))
 
 
 def ber_asymptotic(params: UserAnalyticParams) -> float:
@@ -250,7 +397,7 @@ def ber_asymptotic(params: UserAnalyticParams) -> float:
     Raises :class:`NoErrorFloor` for sole-occupant users, whose error rate
     vanishes with SNR instead of flattening.
     """
-    return _closed_form_sum(params, asymptotic_effective_snr(params))
+    return _closed_form_sum(params, math.sqrt(asymptotic_effective_snr(params)))
 
 
 def imperfect_sic_mixture(ber_own: float, prob_stage_correct: float) -> float:

@@ -12,7 +12,9 @@ Two groups of reference models live here:
   ``starnoma.analytic.ber_numeric`` is checked against:
   ``quadrature_oracle`` (adaptive double-precision quadrature, within
   1e-6 relative down to BER ~1e-14) and ``mpmath_oracle`` (50-digit
-  quadrature for the deep tail).
+  quadrature for the deep tail).  ``mpmath_owens_t`` is Owen's T
+  function at 50 digits, for the region where ``scipy.special.owens_t``
+  is itself off by more than 1e-14.
 * The per-element channel model and the scalar receiver the vectorised
   Monte Carlo engine is checked against.  ``sample_realization(config,
   rng)`` draws every fading vector of one coherence interval of a
@@ -177,6 +179,29 @@ def mpmath_oracle(params: UserAnalyticParams, snr: float) -> float:
                   if x > 0]
         total = mp.quad(integrand, [0, *splits, mp.inf])
         return float(total / len(patterns))
+
+
+def mpmath_owens_t(h: float, a: float) -> float:
+    """Owen's T(h, a) at 50 significant digits, for a >= 0.
+
+    The defining integral with exp(-h^2/2) taken out, so the quadrature's
+    absolute tolerance is relative to the result, split where the Gaussian
+    factor falls; a > 1 goes through Owen's reflection, which costs
+    nothing at this precision.
+    """
+    import mpmath as mp
+
+    def owens_t(h, a):
+        if a > 1:
+            ah = a * h
+            q, qa = mp.ncdf(-h), mp.ncdf(-ah)
+            return q / 2 + qa / 2 - q * qa - owens_t(ah, 1 / a)
+        splits = [c / h for c in (0.5, 1, 2, 4, 8, 16) if h > 0 and c / h < a]
+        body = mp.quad(lambda t: mp.exp(-h * h * t * t / 2) / (1 + t * t), [0, *splits, a])
+        return mp.exp(-h * h / 2) * body / (2 * mp.pi)
+
+    with mp.workdps(50):
+        return float(owens_t(abs(mp.mpf(h)), mp.mpf(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import owens_t
 
-from oracles import decision_region_oracle, mpmath_oracle, probit_oracle, quadrature_oracle
-from starnoma import presets
+from oracles import (
+    decision_region_oracle,
+    mpmath_oracle,
+    mpmath_owens_t,
+    probit_oracle,
+    quadrature_oracle,
+)
+from starnoma import analytic, presets
 from starnoma.analytic import (
     UserAnalyticParams,
     asymptotic_effective_snr,
@@ -28,6 +36,7 @@ from starnoma.errors import (
     UnsupportedScenarioError,
 )
 from starnoma.noma import PowerAllocation
+from starnoma.rules import snr_from_db
 
 FIG2_GAIN_U1 = 50.0**-2 * 6.0**-2
 FIG2_GAIN_U2 = 50.0**-2 * 4.0**-2
@@ -60,12 +69,88 @@ class TestQExact:
 
     def test_twelve_digits_against_mpmath(self):
         # Representable range: the tail underflows past ~37.5 in double
-        # precision, so the spec'd window is checked up to there.
+        # precision, so the spec'd window is checked up to there, at the
+        # 2e-14 the docstring states.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        for x in np.arange(-37.0, 37.5, 1.75):
+        for x in np.arange(-37.0, 37.5, 0.05):
             expected = float(mp.ncdf(-mp.mpf(float(x))))
-            assert float(q_exact(float(x))) == pytest.approx(expected, rel=1e-12, abs=0)
+            assert float(q_exact(float(x))) == pytest.approx(expected, rel=2e-14, abs=0)
+
+    def test_array_in_array_out(self):
+        xs = np.array([[0.0, 1.0], [12.0, 40.0]])
+        vals = q_exact(xs)
+        assert vals.shape == xs.shape and vals.dtype == float
+        assert vals[0, 0] == 0.5 and vals[1, 1] == 0.0
+        assert [q_exact(x) for x in xs.ravel()] == list(vals.ravel())
+
+
+OWEN_RULES = (analytic._GL8, analytic._GL12, analytic._GL16, analytic._GL24)
+
+
+class TestOwensT:
+    """The package's Owen's T against scipy, a 50-digit oracle and identities."""
+
+    @pytest.mark.parametrize("rule", OWEN_RULES, ids=[str(len(r)) for r in OWEN_RULES])
+    def test_rule_matches_leggauss(self, rule):
+        x, w = np.polynomial.legendre.leggauss(len(rule))
+        nodes, weights = np.array(rule).T
+        # leggauss itself is good to about 1e-13 relative at the end nodes.
+        np.testing.assert_allclose(nodes, 0.5 * (1.0 + x), rtol=3e-13, atol=0)
+        np.testing.assert_allclose(weights, 0.5 * w, rtol=3e-13, atol=0)
+        # The literals themselves: exact for every degree below 2n.
+        for k in range(2 * len(rule)):
+            assert math.fsum(wt * u ** k for u, wt in rule) == pytest.approx(
+                1.0 / (k + 1), rel=3e-15, abs=0)
+
+    def test_matches_scipy_on_dense_grid(self):
+        # scipy.special.owens_t 1.17 is itself off by up to 2.5e-9 relative
+        # for a < 1e-3 once h >= 4, and by 1.1e-13 for h >= 24 (against
+        # mpmath_owens_t); those cells are checked in the next test.
+        hs = np.concatenate([[0.0], np.geomspace(1e-3, 24.0, 70)])
+        a_s = np.geomspace(1e-8, 1e8, 97)
+        compared = 0
+        for h in hs:
+            for a in a_s:
+                if h >= 4.0 and a < 1e-3:
+                    continue
+                expected = owens_t(h, a)
+                if expected > 1e-300:
+                    compared += 1
+                    assert analytic._owens_t(h, a) == pytest.approx(
+                        expected, rel=1e-13, abs=0), (h, a)
+        assert compared > 5000
+
+    @pytest.mark.parametrize("h", [4.0, 6.5, 10.0, 15.0, 24.0, 30.0, 37.0, 40.0])
+    def test_matches_mpmath_where_scipy_is_off(self, h):
+        pytest.importorskip("mpmath")
+        a_s = [1e-8, 1e-6, 1e-4, 9e-4]
+        if h >= 24.0:
+            a_s += [0.01, 0.2, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3, 1e8]
+        for a in a_s:
+            expected = mpmath_owens_t(h, a)
+            if expected > 1e-300:
+                assert analytic._owens_t(h, a) == pytest.approx(
+                    expected, rel=1e-13, abs=0), a
+
+    def test_zero_h(self):
+        for a in np.geomspace(1e-8, 1e8, 33):
+            assert analytic._owens_t(0.0, a) == pytest.approx(
+                math.atan(a) / (2.0 * math.pi), rel=1e-14, abs=0)
+
+    def test_unit_a(self):
+        for h in np.linspace(0.0, 37.0, 149):
+            q = float(q_exact(h))
+            assert analytic._owens_t(h, 1.0) == pytest.approx(
+                0.5 * q * (1.0 - q), rel=1e-13, abs=0)
+
+    def test_zero_a_odd_in_a_even_in_h(self):
+        for h in (0.0, 0.7, 5.0, 12.0):
+            assert analytic._owens_t(h, 0.0) == 0.0
+            for a in (1e-6, 0.3, 1.0, 7.0, 1e6):
+                t = analytic._owens_t(h, a)
+                assert analytic._owens_t(h, -a) == -t
+                assert analytic._owens_t(-h, a) == t
 
 
 class TestQApprox:
@@ -280,6 +365,37 @@ class TestBerNumericDeepTail:
                 assert ber_numeric(params, snr) == pytest.approx(
                     reference, rel=1e-6, abs=0.0), label
         assert compared >= 15
+
+
+class TestExtremeSnr:
+    """Machine accuracy far past the presets, up to the largest SNR accepted."""
+
+    @pytest.mark.parametrize("index,gain", [(0, FIG2_GAIN_U1), (1, FIG2_GAIN_U2)])
+    @pytest.mark.parametrize("snr", [1e12, 1e14, 1e16])
+    def test_numeric_matches_mpmath(self, index, gain, snr):
+        # Q(h) - Q(m) cancels here; its width m - h shrinks like m / (2 c^2).
+        pytest.importorskip("mpmath")
+        params = make_params(index=index, gain=gain)
+        assert ber_numeric(params, snr) == pytest.approx(
+            mpmath_oracle(params, snr), rel=1e-12, abs=0)
+
+    def test_finite_and_non_increasing_to_largest_snr(self):
+        db_max = 10.0 * math.log10(sys.float_info.max)
+        while True:
+            try:
+                snr_from_db("snr", db_max)
+                break
+            except InvalidParameterError:
+                db_max = math.nextafter(db_max, 0.0)
+        for params in (make_params(index=0, gain=FIG2_GAIN_U1), make_params()):
+            previous = (1.0, 1.0)
+            for db in (3000.0, 3075.0, 3080.0, db_max):
+                snr = snr_from_db("snr", db)
+                values = (ber_closed_form(params, snr), ber_numeric(params, snr))
+                assert all(0.0 < v <= p for v, p in zip(values, previous)), (db, values)
+                previous = values
+            # the two columns agree to the fit's accuracy at the largest SNR
+            assert values[0] == pytest.approx(values[1], rel=0.01, abs=0)
 
 
 class TestSnrRule:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -310,3 +312,19 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         rc = main(["sweep"])
         assert rc == 1
+
+
+class TestImport:
+    def test_package_import_leaves_scipy_special_out(self):
+        # The special functions are evaluated in the package; importing
+        # scipy.special costs more than the rest of the start-up together.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, starnoma, starnoma.cli; "
+                "print(starnoma.__file__); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout.splitlines()
+        assert Path(out[0]).resolve().parent.parent == Path(src)
+        assert out[1] == "[]"
