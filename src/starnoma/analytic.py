@@ -9,8 +9,7 @@ limit (the interference-induced error floor), and the two-user
 imperfect-cancellation combination.
 
 The special functions are evaluated here in pure Python on top of
-``math.erfc`` and ``math.exp``, so importing the package does not load
-``scipy.special``.
+``math.erfc`` and ``math.exp``; the package imports no scipy at all.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy
-import scipy
 
 from . import __version__, presets
 from .engine import (
@@ -49,7 +48,6 @@ from .engine import (
     StoppingRule,
     SweepResult,
     UserSpec,
-    default_workers,
     run_sweep,
 )
 from .errors import ConfigError, StarNomaError
@@ -231,7 +229,7 @@ def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
         "workers": workers,
         "stopping_rule": asdict(rule),
         "versions": {"python": ".".join(map(str, sys.version_info[:3])),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+                     "numpy": numpy.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
         "warnings": list(warnings_list),
@@ -277,8 +275,6 @@ def _rule_from_args(args) -> StoppingRule:
 
 
 def _workers_from_args(args) -> int:
-    if args.workers is None:
-        return default_workers()
     return count("--workers", args.workers, 1)
 
 
@@ -414,8 +410,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-errors", type=int, default=200)
     parser.add_argument("--max-trials", type=int, default=10**9)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads (default: STARNOMA_THREADS or 1)")
+    parser.add_argument("--workers", type=int, default=1, help="worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,6 @@ boundaries, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -57,21 +56,7 @@ ELEMENTS_AXIS = "elements"
 POWER_AXIS = "power"
 AXES = (SNR_AXIS, ELEMENTS_AXIS, POWER_AXIS)
 
-THREADS_ENV = "STARNOMA_THREADS"
-
 DEFAULT_BLOCK_SIZE = 1 << 16
-
-
-def default_workers() -> int:
-    """Worker count from ``STARNOMA_THREADS``; unset or empty means 1."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = raw  # fails the rule below, which names the variable
-    return count(THREADS_ENV, value, 1)
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,9 @@ class StoppingRule:
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion (well-behaved at 0)."""
+    """Wilson score interval for a binomial proportion; with no errors the
+    lower end is exactly 0 (centre and half-width agree there only up to
+    rounding)."""
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
     if not 0 <= errors <= trials:
@@ -223,7 +210,7 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[floa
     denom = 1.0 + z2 / n
     centre = p + z2 / (2.0 * n)
     half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    lo = max(0.0, (centre - half) / denom)
+    lo = 0.0 if errors == 0 else max(0.0, (centre - half) / denom)
     hi = min(1.0, (centre + half) / denom)
     return lo, hi
 
@@ -296,14 +283,14 @@ def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.
 
 def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingRule,
                seed: int, stream_key: Tuple[int, ...], block_size: int,
-               workers: Optional[int]) -> BerEstimate:
+               workers: int) -> BerEstimate:
     # Checked here: a negative index would silently simulate another user.
     if count("user", user) >= config.n_users:
         raise InvalidParameterError(f"user index {user} out of range")
     snr = snr_from_db("snr_db", snr_db)
     count("seed", seed)
     count("block_size", block_size, 1)
-    n_workers = default_workers() if workers is None else count("workers", workers, 1)
+    n_workers = count("workers", workers, 1)
 
     # The last block runs only the trials left under max_trials.
     n_blocks = -(-rule.max_trials // block_size)
@@ -349,7 +336,7 @@ def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,
                   rule: StoppingRule = StoppingRule(), seed: int = 0,
                   stream_key: Tuple[int, ...] = (),
                   block_size: int = DEFAULT_BLOCK_SIZE,
-                  workers: Optional[int] = None) -> BerEstimate:
+                  workers: int = 1) -> BerEstimate:
     """Estimate one user's BER at one SNR point for the surface variant."""
     if config.variant != STAR_VARIANT:
         raise ConfigError("run_ber_point expects the surface variant; "
@@ -362,7 +349,7 @@ def run_classical_point(config: ScenarioConfig, snr_db: float, user: int,
                         rule: StoppingRule = StoppingRule(), seed: int = 0,
                         stream_key: Tuple[int, ...] = (),
                         block_size: int = DEFAULT_BLOCK_SIZE,
-                        workers: Optional[int] = None) -> BerEstimate:
+                        workers: int = 1) -> BerEstimate:
     """Same trial loop with a single flat-fading BS-user coefficient."""
     if config.variant != CLASSICAL_VARIANT:
         raise ConfigError("run_classical_point expects the classical variant")
@@ -467,7 +454,7 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
 def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
               users: Sequence[int], rule: StoppingRule = StoppingRule(),
               seed: int = 0, snr_db: Optional[float] = None,
-              workers: Optional[int] = None) -> SweepResult:
+              workers: int = 1) -> SweepResult:
     """One BER estimate per (axis value, user) plus aligned analytic series.
 
     ``snr_db`` is the fixed operating point for element-count and power

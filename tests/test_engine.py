@@ -91,9 +91,13 @@ class TestWilson:
         assert 0.0 <= lo and hi <= 1.0
 
     def test_zero_errors_one_sided(self):
-        lo, hi = wilson_interval(0, 10_000)
-        assert lo == 0.0
-        assert 0.0 < hi < 1e-3
+        # With no errors the upper end is z^2 / (n + z^2); at 3 and 1000
+        # trials centre - half-width leaves a rounding residue above 0.
+        z2 = WILSON_Z ** 2
+        for n in (3, 1000, 10_000):
+            lo, hi = wilson_interval(0, n)
+            assert lo == 0.0
+            assert hi == pytest.approx(z2 / (n + z2), rel=1e-12)
 
     def test_coverage_at_least_93_percent(self):
         rng = np.random.default_rng(42)

@@ -300,20 +300,6 @@ class TestCommandLineDefects:
                            "--snr-values", "0", f"--workers={workers}", *FAST], capsys)
         assert rc == 1 and "--workers" in err and blocks == []
 
-    def test_bad_threads_variable(self, tmp_path, capsys, monkeypatch, blocks):
-        monkeypatch.setenv(engine.THREADS_ENV, "two")
-        rc, err = run_cli(["figure", "fig2", "--out", str(tmp_path), "--elements", "4",
-                           "--snr-values", "0", *FAST], capsys)
-        assert rc == 1 and "STARNOMA_THREADS" in err and blocks == []
-
-    @pytest.mark.parametrize("raw", [None, ""])
-    def test_unset_or_empty_threads_variable_means_one(self, monkeypatch, raw):
-        if raw is None:
-            monkeypatch.delenv(engine.THREADS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(engine.THREADS_ENV, raw)
-        assert engine.default_workers() == 1
-
     def test_zero_workers_in_the_engine(self, blocks):
         with pytest.raises(ConfigError, match="workers"):
             run_ber_point(star_config(), 10.0, 0, workers=0)
