@@ -9,7 +9,9 @@ limit (the interference-induced error floor), and the two-user
 imperfect-cancellation combination.
 
 The special functions are evaluated here in pure Python on top of
-``math.erfc`` and ``math.exp``; the package imports no scipy at all.
+``math.erfc`` and ``math.exp``; the package imports no scipy at all, and
+only the array helpers (``q_exact``, ``q_approx``, ``conditional_ber``)
+import numpy, so the BER routes run without it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from math import exp  # a global name for the quadrature loops
 from typing import Tuple
-
-import numpy as np
 
 from .channel import clt_moments
 from .errors import InvalidParameterError, NoErrorFloor, UnsupportedScenarioError
@@ -77,7 +77,7 @@ def _q(x: float) -> float:
     return 0.5 * math.erfc(r) * (1.0 - 2.0 * r * e)
 
 
-_q_array = np.frompyfunc(_q, 1, 1)
+_q_array = None  # np.frompyfunc(_q, 1, 1), built on first use
 
 
 def q_exact(x):
@@ -86,12 +86,17 @@ def q_exact(x):
     Within 2e-14 relative wherever the result is representable in double
     precision (the tail underflows past x of about 37.5).
     """
+    global _q_array
+    import numpy as np
+    if _q_array is None:
+        _q_array = np.frompyfunc(_q, 1, 1)
     # [()] returns a numpy scalar for scalar input and the array otherwise.
     return np.asarray(_q_array(np.asarray(x, dtype=float)), dtype=float)[()]
 
 
 def q_approx(x):
     """Exponential tail approximation, valid for nonnegative arguments only."""
+    import numpy as np
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise InvalidParameterError("the exponential tail fit is one-sided; x must be >= 0")
@@ -201,6 +206,7 @@ def conditional_ber(phi, params: UserAnalyticParams, snr: float):
     the mean over i of Q(A_i * phi * sqrt(2 rho snr / P)).  Accepts scalar or
     array ``phi``.
     """
+    import numpy as np
     phi_arr = np.asarray(phi, dtype=float)
     if not np.all(phi_arr >= 0):
         raise InvalidParameterError("cascaded gain must be nonnegative, not NaN")
@@ -340,11 +346,12 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
     conditional error rate at the mean.
     """
     mu, v = params.mean, params.variance
-    if v == 0.0:
-        return float(conditional_ber(mu, params, snr))
-    sigma = math.sqrt(v)
-    scale = sigma * _root_effective_snr(params, snr)
+    root = _root_effective_snr(params, snr)
     amps = params.amplitudes
+    if v == 0.0:
+        return sum(_q(amp * mu * root) for amp in amps) / len(amps)
+    sigma = math.sqrt(v)
+    scale = sigma * root
     return sum(_positive_gain_tail(amp * scale, mu / sigma) for amp in amps) / len(amps)
 
 

@@ -10,11 +10,12 @@ per-element reference model lives with the tests (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .rules import count, nonnegative, positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ZONES = ("transmission", "reflection")
 
@@ -61,6 +62,7 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
     per-value overhead.  Rows are drawn ``_CASCADE_ROWS`` at a time into
     one reused buffer, which bounds the memory per call whatever ``size`` is.
     """
+    import numpy as np
     if elements == 0:
         return np.zeros(size)
     out = np.empty(size)
@@ -97,6 +99,7 @@ def sample_leakage_noise_batch(bs_gain: float, user_gain: float, elements: int,
     each trial's realised leakage variance, and one normal draw carries the
     leakage and the noise of variance ``noise_var`` together.
     """
+    import numpy as np
     variance = np.full(size, noise_var, dtype=float)
     if elements:
         variance += 0.5 * user_gain * rng.gamma(elements, bs_gain, size)

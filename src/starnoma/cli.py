@@ -37,8 +37,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy
-
 from . import __version__, presets
 from .engine import (
     AXES,
@@ -219,6 +217,7 @@ def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
                    outputs: Sequence[Path], warnings_list: Sequence[str],
                    rule: StoppingRule, workers: int) -> None:
     """Record what produced ``outputs``, including what byte-identity needs."""
+    import numpy
     doc = {
         "tool": "starnoma",
         "version": __version__,

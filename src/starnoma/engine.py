@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import analytic
 from .analytic import UserAnalyticParams
@@ -44,6 +42,9 @@ from .errors import ConfigError, InvalidParameterError, NoErrorFloor
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from .rules import (count, nonnegative, number, one_of, positive, power_coefficients,
                     snr_from_db)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -198,8 +199,8 @@ class StoppingRule:
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion; with no errors the
-    lower end is exactly 0 (centre and half-width agree there only up to
-    rounding)."""
+    lower end is exactly 0, and with every trial an error the upper end is
+    exactly 1 (centre and half-width agree there only up to rounding)."""
     if trials < 1:
         raise InvalidParameterError("trials must be positive")
     if not 0 <= errors <= trials:
@@ -211,7 +212,7 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[floa
     centre = p + z2 / (2.0 * n)
     half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
     lo = 0.0 if errors == 0 else max(0.0, (centre - half) / denom)
-    hi = min(1.0, (centre + half) / denom)
+    hi = 1.0 if errors == trials else min(1.0, (centre + half) / denom)
     return lo, hi
 
 
@@ -250,6 +251,7 @@ class BerEstimate:
 def _block_errors(config: ScenarioConfig, user: int, snr: float,
                   rng: np.random.Generator, m: int) -> int:
     """Simulate ``m`` trials of ``user``; return the observed own-bit error count."""
+    import numpy as np
     amplitudes = np.array(config.power_allocation().amplitudes())  # sqrt(a_j P)
     sigma2 = config.transmit_power / snr
     bs_gain, user_gain = config.bs_gain(), config.user_gain(user)
@@ -277,6 +279,7 @@ def _block_errors(config: ScenarioConfig, user: int, snr: float,
 
 
 def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.Generator:
+    import numpy as np
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(*stream_key, block))
     return np.random.Generator(np.random.PCG64(ss))
 

@@ -297,6 +297,11 @@ class TestBerNumeric:
     def test_degenerate_variance_collapses_to_conditional(self):
         params = make_params(own=0, zone=0)
         assert ber_numeric(params, 100.0) == pytest.approx(0.5, rel=1e-6, abs=0)
+        # Bit for bit the array route's value at the mean gain.
+        for params in (params, make_params(index=0, coeffs=(0.5, 0.3, 0.2), own=0, zone=25)):
+            for snr in (1e-3, 100.0, 1e9):
+                assert ber_numeric(params, snr) == float(
+                    conditional_ber(params.mean, params, snr))
 
     @pytest.mark.parametrize("index,coeffs,own,zone,snr", [
         (0, (1.0,), 50, 50, 100.0),

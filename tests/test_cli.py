@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starnoma.cli as cli
+from starnoma import __version__, analytic, presets
 from starnoma.cli import (
     CSV_HEADER,
     config_hash,
@@ -311,14 +313,55 @@ class TestUsageErrors:
         assert rc == 1
 
 
+def fresh_python(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter that imports this
+    checkout's package; return its stdout and stderr."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, done.stderr
+
+
+# Imports the CLI, builds every preset, parses a config and evaluates the four
+# analytic routes, then runs two commands that need no arrays.  With argv[1]
+# == "block" importing numpy fails; either way no numpy module may be loaded.
+ANALYTIC_ROUTES = """
+import json, sys
+from dataclasses import replace
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import starnoma, starnoma.cli
+from starnoma import analytic, presets
+from starnoma.cli import main, parse_config
+
+plans = [presets.fig2(), presets.fig3([(0.7, 0.3)], [8]), presets.fig4(),
+         presets.fig5([25, 25, 50])]
+config, _ = parse_config(json.loads(sys.argv[2]))
+shared = plans[3].runs[0].config.analytic_params(1)
+detected = replace(config, sic_mode="detected").analytic_params(1)
+bare = replace(config, users=(config.users[0], replace(config.users[1], elements=0)))
+print(json.dumps([
+    analytic.ber_closed_form(config.analytic_params(1), 100.0),
+    analytic.ber_numeric(config.analytic_params(1), 100.0),
+    analytic.ber_asymptotic(shared),
+    analytic.ber_imperfect_sic(detected, replace(detected, index=0), 100.0),
+    analytic.ber_numeric(bare.analytic_params(1), 100.0),
+]))
+print("rc", main(["point", "--config", sys.argv[3], "--snr-db", "0"]))
+print("rc", main(["--version"]))
+print("loaded", [m for m in sys.modules
+                 if m.split(".")[0] == "numpy" and sys.modules[m] is not None])
+"""
+
+
 class TestImport:
     def test_package_import_leaves_scipy_special_out(self, config_path, tmp_path):
         # The package needs only numpy at run time: in an interpreter where
         # importing scipy fails, the CLI imports, runs a figure and a point,
         # and its manifest records the Python and numpy versions alone.
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys; sys.modules['scipy'] = None; "
                 "import starnoma, starnoma.cli; "
                 "print(starnoma.__file__); "
@@ -327,11 +370,68 @@ class TestImport:
                 "'--out', sys.argv[1]])); "
                 "print('rc', starnoma.cli.main(['point', '--config', sys.argv[2], "
                 "'--snr-db', '10', '--min-errors', '10', '--max-trials', '1000']))")
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "f2"),
-                              str(config_path)], capture_output=True, text=True,
-                             env=env, check=True).stdout.splitlines()
-        assert Path(out[0]).resolve().parent.parent == Path(src)
+        out = fresh_python(code, tmp_path / "f2", config_path)[0].splitlines()
+        src = Path(cli.__file__).resolve().parent.parent
+        assert Path(out[0]).resolve().parent.parent == src
         assert [line for line in out if line.startswith("rc ")] == ["rc 0", "rc 0"]
         assert sum(line.startswith("user=") for line in out) == 2
         manifest = json.loads((tmp_path / "f2" / "fig2.manifest.json").read_text())
         assert sorted(manifest["versions"]) == ["numpy", "python"]
+
+    @pytest.mark.parametrize("numpy_import", ["block", "allow"])
+    def test_analytic_path_loads_no_numpy(self, numpy_import, tmp_path):
+        # Configs, presets, validation errors and the paper's closed forms
+        # are plain Python: numpy loads only when the first array is made.
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({
+            "system": {"variant": "star-ris-noma"},
+            "users": [{"distance": 6, "zone": "transmission", "elements": True,
+                       "power_coefficient": 1}]}))
+        out, err = fresh_python(ANALYTIC_ROUTES, numpy_import,
+                                json.dumps(STAR_CONFIG), bad)
+        lines = out.splitlines()
+        config, _ = parse_config(STAR_CONFIG)
+        shared = presets.fig5([25, 25, 50]).runs[0].config.analytic_params(1)
+        detected = replace(config, sic_mode="detected").analytic_params(1)
+        bare = replace(config, users=(config.users[0],
+                                      replace(config.users[1], elements=0)))
+        # Bit for bit the values computed with numpy loaded.
+        assert json.loads(lines[0]) == [
+            analytic.ber_closed_form(config.analytic_params(1), 100.0),
+            analytic.ber_numeric(config.analytic_params(1), 100.0),
+            analytic.ber_asymptotic(shared),
+            analytic.ber_imperfect_sic(detected, replace(detected, index=0), 100.0),
+            0.5,
+        ]
+        assert analytic.ber_numeric(bare.analytic_params(1), 100.0) == 0.5
+        assert lines[1] == "rc 1" and "users[0].elements" in err
+        assert lines[2:] == [__version__, "rc 0", "loaded []"]
+
+    def test_first_numpy_import_on_pool_threads(self, tmp_path):
+        # The Monte Carlo blocks make the first arrays, so a fresh interpreter
+        # imports numpy on a pool thread, with two workers possibly on both
+        # at once.  The CSVs must match the one-worker run byte for byte.
+        code = """
+import sys, threading
+import starnoma.cli
+assert "numpy" not in sys.modules
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy imported on", threading.current_thread().name)
+sys.meta_path.insert(0, Probe())
+sys.exit(starnoma.cli.main(sys.argv[1:]))
+"""
+        outputs = {}
+        for workers in (1, 2):
+            out_dir = tmp_path / f"w{workers}"
+            out = fresh_python(code, "figure", "fig2", "--elements", "4",
+                               "--snr-values", "0,10", "--workers", workers,
+                               "--seed", "5", "--out", out_dir, *fast_args())[0]
+            first = [line for line in out.splitlines() if line.startswith("numpy ")]
+            assert len(first) == 1 and "ThreadPoolExecutor" in first[0]
+            outputs[workers] = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+            manifest = json.loads((out_dir / "fig2.manifest.json").read_text())
+            assert manifest["versions"]["numpy"] == np.__version__
+        assert sorted(outputs[1]) == ["fig2_classical.csv", "fig2_star_n4.csv"]
+        assert outputs[2] == outputs[1]

@@ -99,6 +99,15 @@ class TestWilson:
             assert lo == 0.0
             assert hi == pytest.approx(z2 / (n + z2), rel=1e-12)
 
+    def test_all_errors_one_sided(self):
+        # With every trial an error the lower end is n / (n + z^2); at 10 and
+        # 25 trials centre + half-width leaves a rounding residue below 1.
+        z2 = WILSON_Z ** 2
+        for n in (10, 25, 1000, 10_000):
+            lo, hi = wilson_interval(n, n)
+            assert hi == 1.0
+            assert lo == pytest.approx(n / (n + z2), rel=1e-12, abs=0.0)
+
     def test_coverage_at_least_93_percent(self):
         rng = np.random.default_rng(42)
         p, n, reps = 0.02, 1500, 1000
