@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import exp  # a global name for the quadrature loops
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .channel import clt_moments
 from .errors import InvalidParameterError, NoErrorFloor, UnsupportedScenarioError
@@ -30,6 +30,7 @@ from .rules import count, nonnegative, positive
 # complex noise-plus-interference power lands on the decision axis, so the
 # effective SNR in every Gaussian-tail argument carries a factor 2.
 COHERENT_SNR_FACTOR = 2.0
+_NO_FLOOR = "user {} is the sole occupant of its zone; its error rate keeps falling with SNR"
 
 
 # Coefficients of the one-sided exponential tail fit exp(-a x^2 - b x - c).
@@ -41,6 +42,7 @@ FIT_C = 0.6964
 _SQRT_HALF = 0.7071067811865476         # 1/sqrt(2), rounded
 _SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT_HALF
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 _SPLIT = 134217729.0                    # 2**27 + 1, Veltkamp's splitter
 # Past this argument the rounding of x*x or of x/sqrt(2), which costs up to
 # x^2 ulps, is put back to first order (_gauss, _q).
@@ -193,9 +195,7 @@ def asymptotic_effective_snr(params: UserAnalyticParams) -> float:
     """High-SNR limit of ``effective_snr``; only exists with interference."""
     extra = params.co_zone_elements
     if extra == 0:
-        raise NoErrorFloor(
-            f"user {params.index} is the sole occupant of its zone; "
-            "its error rate keeps falling with SNR")
+        raise NoErrorFloor(_NO_FLOOR.format(params.index))
     return COHERENT_SNR_FACTOR / (params.overall_gain * extra)
 
 
@@ -276,19 +276,19 @@ _SQUARED = {len(rule): tuple((u * u, w) for u, w in rule)
 _OWEN_CUT = 8.7
 
 
-def _owens_t(h: float, a: float) -> float:
+def _owens_t(h: float, a: float, qh: Optional[float] = None) -> float:
     # Owen's T(h, a) = 1/(2 pi) int_0^a exp(-h^2 (1 + t^2) / 2) / (1 + t^2) dt,
-    # even in h and odd in a.
+    # even in h and odd in a.  qh, when the caller has it, is Q(|h|).
     if a < 0.0:
-        return -_owens_t(h, -a)
+        return -_owens_t(h, -a, qh)
     h = abs(h)
     x = h * a
     if x >= _OWEN_CUT:
-        return 0.5 * _q(h)
+        return 0.5 * (_q(h) if qh is None else qh)
     if a > 1.0:
         # Owen (1956): T(h, a) + T(ah, 1/a) = Q(h)/2 + Q(ah)/2 - Q(h) Q(ah).
-        qh, qx = _q(h), _q(x)
-        return 0.5 * qh + qx * (0.5 - qh) - _owens_t(x, 1.0 / a)
+        qh, qx = (_q(h) if qh is None else qh), _q(x)
+        return 0.5 * qh + qx * (0.5 - qh) - _owens_t(x, 1.0 / a, qx)
     # Gauss-Legendre on [0, a]: the pole at t = i is at least 2 half-widths
     # away, and x = h a sets how sharply the Gaussian factor falls across it.
     n = 8 if x < 1.0 and a < 0.25 else 12 if x < 2.0 else 16 if x < 5.0 else 24
@@ -312,26 +312,25 @@ def _tail_difference(m: float, width: float) -> float:
     return width * _gauss(m) * total / _SQRT_2PI
 
 
-def _positive_gain_tail(c: float, m: float) -> float:
-    # E[Q(c X) 1{X > 0}] for X ~ N(m, 1), which is the orthant probability
-    # P(Z > c X, X > 0) of a bivariate normal in Owen's T form (Owen 1956).
+def _positive_gain_tail(c: float, m: float, qm: float) -> float:
+    # E[Q(c X) 1{X > 0}] for X ~ N(m, 1), given qm = Q(m): the orthant
+    # probability P(Z > c X, X > 0) of a bivariate normal in Owen's T form (Owen 1956).
     if c < 0.0:
-        return (1.0 - _q(m)) - _positive_gain_tail(-c, m)
+        return (1.0 - qm) - _positive_gain_tail(-c, m, qm)
     if c == 0.0:
-        return 0.5 * (1.0 - _q(m))
+        return 0.5 * (1.0 - qm)
     r = math.hypot(1.0, c)
     h = c * m / r
     # Q(m) / Q(h) is about exp(-(m - h) m), so once (m - h) m < 2 the
     # difference Q(h) - Q(m) would lose leading digits and the density is
     # integrated over [h, m] instead.  The width is written without
     # cancellation: at large c it is about m / 2c^2, and m minus the
-    # rounded h has no correct digits.  (h has the sign of m, |h| < |m|.)
+    # rounded h has no correct digits.  (0 < h < m, as m > 0 here.)
     width = m / (r * (r + c))
     if abs(width * m) < 2.0:
-        tails = _tail_difference(m, width)
-    else:
-        tails = _q(h) - _q(m)
-    return 0.5 * tails + _owens_t(h, 1.0 / c)
+        return 0.5 * _tail_difference(m, width) + _owens_t(h, 1.0 / c)
+    qh = _q(h)
+    return 0.5 * (qh - qm) + _owens_t(h, 1.0 / c, qh)
 
 
 def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
@@ -351,29 +350,16 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
     if v == 0.0:
         return sum(_q(amp * mu * root) for amp in amps) / len(amps)
     sigma = math.sqrt(v)
-    scale = sigma * root
-    return sum(_positive_gain_tail(amp * scale, mu / sigma) for amp in amps) / len(amps)
-
-
-def _closed_form_term(amp: float, mu: float, v: float, root_snr: float) -> float:
-    # Exact integral over [0, inf) of the exponential tail fit evaluated at
-    # amp * x * root_snr against an (unnormalised) Gaussian in x.  The
-    # argument d stays below FIT_B / (2 sqrt(FIT_A)) ~ 0.62, where
-    # log(exp(d^2) erfc(d)) = d^2 + log(erfc(d)) needs no scaled form.
-    beta = amp * root_snr
-    bv = beta * v
-    d = (FIT_B * bv - mu) / math.sqrt(4.0 * FIT_A * bv * bv + 2.0 * v)
-    log_term = (
-        -FIT_C
-        - mu * mu / (2.0 * v)
-        + d * d + math.log(math.erfc(d))
-        - math.log(2.0)
-        - 0.5 * math.log1p(2.0 * FIT_A * beta * bv)
-    )
-    return math.exp(log_term)
+    scale, m = sigma * root, mu / sigma
+    qm = _q(m)
+    return sum(_positive_gain_tail(amp * scale, m, qm) for amp in amps) / len(amps)
 
 
 def _closed_form_sum(params: UserAnalyticParams, root_snr: float) -> float:
+    # Per term, the exact integral over [0, inf) of the exponential tail fit
+    # evaluated at amp * x * root_snr against an (unnormalised) Gaussian in
+    # x.  The argument d stays below FIT_B / (2 sqrt(FIT_A)) ~ 0.62, where
+    # log(exp(d^2) erfc(d)) = d^2 + log(erfc(d)) needs no scaled form.
     mu, v = params.mean, params.variance
     if v == 0.0:
         raise InvalidParameterError(
@@ -384,7 +370,17 @@ def _closed_form_sum(params: UserAnalyticParams, root_snr: float) -> float:
         raise InvalidParameterError(
             "a sign combination has non-positive amplitude; the one-sided "
             "tail fit does not cover this allocation")
-    return sum(_closed_form_term(amp, mu, v, root_snr) for amp in amps) / len(amps)
+    # Each exponent is summed left to right, its constant terms first.
+    base = -FIT_C - mu * mu / (2.0 * v)
+    two_v = 2.0 * v
+    terms = []
+    for amp in amps:
+        beta = amp * root_snr
+        bv = beta * v
+        d = (FIT_B * bv - mu) / math.sqrt(4.0 * FIT_A * bv * bv + two_v)
+        terms.append(exp(base + d * d + math.log(math.erfc(d)) - _LOG_2
+                         - 0.5 * math.log1p(2.0 * FIT_A * beta * bv)))
+    return sum(terms) / len(amps)
 
 
 def ber_closed_form(params: UserAnalyticParams, snr: float) -> float:
@@ -403,6 +399,8 @@ def ber_asymptotic(params: UserAnalyticParams) -> float:
     Raises :class:`NoErrorFloor` for sole-occupant users, whose error rate
     vanishes with SNR instead of flattening.
     """
+    if params.co_zone_elements == 0:
+        raise NoErrorFloor(_NO_FLOOR.format(params.index))
     return _closed_form_sum(params, math.sqrt(asymptotic_effective_snr(params)))
 
 
@@ -439,10 +437,11 @@ def ber_imperfect_sic(params_user2: UserAnalyticParams,
         params_user2.overall_gain == params_x1_at_user2.overall_gain
         and params_user2.own_elements == params_x1_at_user2.own_elements
         and params_user2.zone_elements == params_x1_at_user2.zone_elements
+        and params_user2.alloc.power == params_x1_at_user2.alloc.power
     )
     if not same_channel:
         raise UnsupportedScenarioError(
-            "both parameter sets must carry the cancelling user's channel")
-    ber_own = ber_closed_form(params_user2, snr)
-    prob_stage_error = ber_closed_form(params_x1_at_user2, snr)
-    return imperfect_sic_mixture(ber_own, 1.0 - prob_stage_error)
+            "both parameter sets must carry the cancelling user's channel and power")
+    root_snr = _root_effective_snr(params_user2, snr)  # shared, as the channel is
+    return imperfect_sic_mixture(_closed_form_sum(params_user2, root_snr),
+                                 1.0 - _closed_form_sum(params_x1_at_user2, root_snr))

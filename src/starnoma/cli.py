@@ -199,7 +199,8 @@ def write_sweep_csv(result: SweepResult, path: Path) -> None:
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:
     header = CSV_HEADER.split(",")
-    rows = [dict(zip(header, row)) for row in sweep_rows(result)]
+    rows = [dict(zip(header, row), stop_reason=cell.estimate.stop_reason)
+            for row, cell in zip(sweep_rows(result), result.cells)]
     doc = {"axis": result.axis, "rows": rows}
     _write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
@@ -310,7 +311,7 @@ def cmd_point(args) -> int:
               f"ber_closed_form={_fmt_ber(cell.ber_closed_form)} "
               f"ber_numeric={_fmt_ber(cell.ber_numeric)} "
               f"ber_asymptotic={_fmt_ber(cell.ber_asymptotic)} "
-              f"trials={est.trials} errors={est.errors}")
+              f"trials={est.trials} errors={est.errors} stop={est.stop_reason}")
         for note in cell.notes:
             print(f"note: {note}", file=sys.stderr)
     return 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import analytic
 from .analytic import UserAnalyticParams
@@ -58,6 +58,7 @@ POWER_AXIS = "power"
 AXES = (SNR_AXIS, ELEMENTS_AXIS, POWER_AXIS)
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+STOP_MAX_TRIALS, STOP_MIN_ERRORS, STOP_CI_WIDTH = "max_trials", "min_errors", "ci_width"
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[floa
 
 @dataclass(frozen=True)
 class BerEstimate:
-    """Point estimate with binomial interval and reproducibility provenance."""
+    """Point estimate, binomial interval, provenance and what stopped it (``STOP_*``)."""
 
     errors: int
     trials: int
@@ -229,6 +230,7 @@ class BerEstimate:
     stream_key: Tuple[int, ...]
     block_size: int
     blocks: int
+    stop_reason: str
 
     @property
     def underflow(self) -> bool:
@@ -238,10 +240,10 @@ class BerEstimate:
     @staticmethod
     def from_counts(errors: int, trials: int, seed: int,
                     stream_key: Tuple[int, ...], block_size: int,
-                    blocks: int) -> "BerEstimate":
+                    blocks: int, stop_reason: str) -> "BerEstimate":
         lo, hi = wilson_interval(errors, trials)
         return BerEstimate(errors, trials, errors / trials, lo, hi,
-                           seed, stream_key, block_size, blocks)
+                           seed, stream_key, block_size, blocks, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +311,19 @@ def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingR
     trials = 0
     blocks = 0
 
-    def stopped() -> bool:
+    def stop_reason() -> Optional[str]:
         if trials >= rule.max_trials:
-            return True
+            return STOP_MAX_TRIALS
         if errors < rule.min_errors:
-            return False
+            return None
         if rule.target_ci_width is None:
-            return True
+            return STOP_MIN_ERRORS
         lo, hi = wilson_interval(errors, trials)
-        return (hi - lo) <= rule.target_ci_width * (errors / trials)
+        return STOP_CI_WIDTH if (hi - lo) <= rule.target_ci_width * (errors / trials) else None
 
+    reason = None  # until a criterion fires
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        while not stopped():
+        while reason is None:
             # Merge strictly in index order; once a stopping rule fires,
             # the wave's later (speculative) blocks are discarded.
             wave = range(blocks, min(blocks + n_workers, n_blocks))
@@ -328,11 +331,11 @@ def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingR
                 errors += res
                 trials += block_trials(blocks)
                 blocks += 1
-                if stopped():
+                if (reason := stop_reason()) is not None:
                     break
 
     return BerEstimate.from_counts(errors, trials, seed, stream_key,
-                                   block_size, blocks)
+                                   block_size, blocks, reason)
 
 
 def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,
@@ -486,7 +489,14 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     # Every point's config is built (and so checked) before any trial runs.
     point_configs = [_config_at(config, axis, value) for value in vals]
 
-    warn = ordering_warnings(config)
+    # Warnings of the configs simulated; one not held at every point names its values.
+    held: Dict[str, List[float]] = {}
+    for value, point_config in zip(vals, point_configs):
+        for w in ordering_warnings(point_config):
+            held.setdefault(w, []).append(value)
+    warn = tuple(w if len(at) == len(vals) else
+                 f"at {axis}={', '.join(f'{v:.10g}' for v in at)}: {w}"
+                 for w, at in held.items())
     cells: List[SweepCell] = []
     for vi, (value, point_config) in enumerate(zip(vals, point_configs)):
         point_snr = value if axis == SNR_AXIS else snr_db

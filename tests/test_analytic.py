@@ -609,3 +609,271 @@ class TestImperfectSic:
         p1 = UserAnalyticParams(0, alloc, FIG2_GAIN_U1, 50, 50)
         with pytest.raises(UnsupportedScenarioError):
             ber_imperfect_sic(p2, p1, 100.0)
+        # Both stages share one effective SNR, which carries the transmit power.
+        p1 = UserAnalyticParams(0, PowerAllocation((0.7, 0.3), 2.0), FIG2_GAIN_U2, 50, 50)
+        with pytest.raises(UnsupportedScenarioError, match="power"):
+            ber_imperfect_sic(p2, p1, 100.0)
+
+
+# ---------------------------------------------------------------------------
+# golden values: every route's result pinned bit for bit
+
+
+def _golden_cases():
+    fig5 = presets.fig5((25, 25, 50)).runs[0].config
+    return {
+        "fig2 n=50 user 1": make_params(index=0, gain=FIG2_GAIN_U1, own=50),
+        "fig2 n=50 user 2": make_params(own=50),
+        "fig2 n=50 x1 at user 2": make_params(index=0, own=50),
+        "fig2 n=4 user 2": make_params(own=4),
+        "fig2 n=4 x1 at user 2": make_params(index=0, own=4),
+        "fig2 n=1 user 2": make_params(own=1),
+        "fig2 n=1 x1 at user 2": make_params(index=0, own=1),
+        **{f"fig5 25/25/50 user {k + 1}": fig5.analytic_params(k) for k in range(3)},
+        "(0.5, 0.3, 0.2) user 1": make_params(index=0, coeffs=(0.5, 0.3, 0.2),
+                                              own=25, zone=50),
+        "(0.5, 0.5) user 1": make_params(index=0, coeffs=(0.5, 0.5), own=25, zone=50),
+        "zero elements, shared zone": make_params(own=0, zone=10),
+        "zero elements, sole occupant": make_params(own=0, zone=0),
+    }
+
+
+GOLDEN_CASES = _golden_cases()
+GOLDEN_PAIRS = ("fig2 n=50", "fig2 n=4", "fig2 n=1")
+
+# float.hex of each route's value, or the name of the exception it raises.
+# Computed with CPython's math module on glibc; any change to the order of
+# floating-point operations in the routes shows here.
+GOLDEN_ASYMPTOTE = {
+    'fig2 n=50 user 1': 'NoErrorFloor',
+    'fig2 n=50 user 2': 'NoErrorFloor',
+    'fig2 n=50 x1 at user 2': 'NoErrorFloor',
+    'fig2 n=4 user 2': 'NoErrorFloor',
+    'fig2 n=4 x1 at user 2': 'NoErrorFloor',
+    'fig2 n=1 user 2': 'NoErrorFloor',
+    'fig2 n=1 x1 at user 2': 'NoErrorFloor',
+    'fig5 25/25/50 user 1': '0x1.dd65689230e65p-7',
+    'fig5 25/25/50 user 2': '0x1.bbd32f40a2ea0p-8',
+    'fig5 25/25/50 user 3': 'NoErrorFloor',
+    '(0.5, 0.3, 0.2) user 1': 'InvalidParameterError',
+    '(0.5, 0.5) user 1': 'InvalidParameterError',
+    'zero elements, shared zone': 'InvalidParameterError',
+    'zero elements, sole occupant': 'NoErrorFloor',
+}
+GOLDEN_CELLS = [  # (case, snr, closed form, numeric)
+    ('fig2 n=50 user 1', 0.0, '0x1.fe5656d0dfa46p-2', '0x1.0000000000000p-1'),
+    ('fig2 n=50 user 1', 0.01, '0x1.f8487659fd1b6p-2', '0x1.f9ac62dd34c7ep-2'),
+    ('fig2 n=50 user 1', 1.0, '0x1.c142fa73518cdp-2', '0x1.c152406e9306ep-2'),
+    ('fig2 n=50 user 1', 100.0, '0x1.37a267fd8dfcap-3', '0x1.36d84e3eff82dp-3'),
+    ('fig2 n=50 user 1', 1000.0, '0x1.8cbb632ea4066p-6', '0x1.8b2e95a2f1fd0p-6'),
+    ('fig2 n=50 user 1', 10000.0, '0x1.cdf6b1d35d4acp-20', '0x1.235b2cc42dd6ap-20'),
+    ('fig2 n=50 user 1', 100000.0, '0x1.ed5d6083c7cf7p-51', '0x1.4624f6afd5a43p-51'),
+    ('fig2 n=50 user 1', 100000000.0, '0x1.b83ab631ca2f6p-68', '0x1.b778db92bb4e4p-68'),
+    ('fig2 n=50 user 1', 1e+16, '0x1.4b4d2ebe0bc33p-81', '0x1.4ade5096aa25ap-81'),
+    ('fig2 n=50 user 2', 0.0, '0x1.fe5656d0dfa86p-2', '0x1.0000000000000p-1'),
+    ('fig2 n=50 user 2', 0.01, '0x1.f865885f91b74p-2', '0x1.f9c97bd0f6406p-2'),
+    ('fig2 n=50 user 2', 1.0, '0x1.c255467555a2fp-2', '0x1.c21d919c44b52p-2'),
+    ('fig2 n=50 user 2', 100.0, '0x1.11c2371192121p-4', '0x1.11e50f5f11206p-4'),
+    ('fig2 n=50 user 2', 1000.0, '0x1.136ff24e9e3fap-16', '0x1.78d05fb20a08ep-17'),
+    ('fig2 n=50 user 2', 10000.0, '0x1.43f19d7212501p-47', '0x1.8ab90669f3288p-48'),
+    ('fig2 n=50 user 2', 100000.0, '0x1.1ef1f7afb0b16p-61', '0x1.1709755294b98p-61'),
+    ('fig2 n=50 user 2', 100000000.0, '0x1.e6cd54439dacdp-69', '0x1.e6178da2ad768p-69'),
+    ('fig2 n=50 user 2', 1e+16, '0x1.81938aad0ee06p-82', '0x1.81128365c566ep-82'),
+    ('fig2 n=50 x1 at user 2', 0.0, '0x1.fe5656d0dfa86p-2', '0x1.0000000000000p-1'),
+    ('fig2 n=50 x1 at user 2', 0.01, '0x1.f53edac46a1b0p-2', '0x1.f682ddf8395a3p-2'),
+    ('fig2 n=50 x1 at user 2', 1.0, '0x1.a331181dc8810p-2', '0x1.a3118f6b46751p-2'),
+    ('fig2 n=50 x1 at user 2', 100.0, '0x1.b243936c16373p-4', '0x1.b2d073c2f7709p-4'),
+    ('fig2 n=50 x1 at user 2', 1000.0, '0x1.fbb9fc565818dp-9', '0x1.df60ada8e5059p-9'),
+    ('fig2 n=50 x1 at user 2', 10000.0, '0x1.36f0004d19a46p-30', '0x1.3162f3beee790p-31'),
+    ('fig2 n=50 x1 at user 2', 100000.0, '0x1.2491a968874e6p-57', '0x1.f1b0f6d33c1e3p-58'),
+    ('fig2 n=50 x1 at user 2', 100000000.0, '0x1.1d1a455bb5c09p-68', '0x1.1ca7d0be64388p-68'),
+    ('fig2 n=50 x1 at user 2', 1e+16, '0x1.b9bbef68ebc1dp-82', '0x1.b9281cfb40100p-82'),
+    ('fig2 n=4 user 2', 0.0, '0x1.fb7d620d4fe29p-2', '0x1.fd24ab3ae9d77p-2'),
+    ('fig2 n=4 user 2', 0.01, '0x1.fb03d4922e152p-2', '0x1.fca55549560ddp-2'),
+    ('fig2 n=4 user 2', 1.0, '0x1.f6bc12fccc3eap-2', '0x1.f82b5b7520686p-2'),
+    ('fig2 n=4 user 2', 100.0, '0x1.cb7fc9db86e1bp-2', '0x1.cb94ea3dd4e98p-2'),
+    ('fig2 n=4 user 2', 1000.0, '0x1.65ca2804ef175p-2', '0x1.654b6ab9f2434p-2'),
+    ('fig2 n=4 user 2', 10000.0, '0x1.107ade93f0756p-3', '0x1.10b902c925314p-3'),
+    ('fig2 n=4 user 2', 100000.0, '0x1.b8bea0f1b8c2dp-7', '0x1.b561ac9982a6cp-7'),
+    ('fig2 n=4 user 2', 100000000.0, '0x1.2009a45baff60p-13', '0x1.1f9e3be67af81p-13'),
+    ('fig2 n=4 user 2', 1e+16, '0x1.c859b77986d6fp-27', '0x1.c7c1012b588b4p-27'),
+    ('fig2 n=4 x1 at user 2', 0.0, '0x1.fb7d620d4fe29p-2', '0x1.fd24ab3ae9d77p-2'),
+    ('fig2 n=4 x1 at user 2', 0.01, '0x1.fac3abe784da2p-2', '0x1.fc6229206dfeep-2'),
+    ('fig2 n=4 x1 at user 2', 1.0, '0x1.f436af55da867p-2', '0x1.f58bf53286ea0p-2'),
+    ('fig2 n=4 x1 at user 2', 100.0, '0x1.b2874845073e5p-2', '0x1.b296903158a3fp-2'),
+    ('fig2 n=4 x1 at user 2', 1000.0, '0x1.312748340467cp-2', '0x1.31117de3b3d62p-2'),
+    ('fig2 n=4 x1 at user 2', 10000.0, '0x1.248f146677edap-3', '0x1.245a88e602e03p-3'),
+    ('fig2 n=4 x1 at user 2', 100000.0, '0x1.ca532864571b8p-6', '0x1.c899e655a5b39p-6'),
+    ('fig2 n=4 x1 at user 2', 100000000.0, '0x1.5148f3a358eb4p-13', '0x1.50c21fc4506adp-13'),
+    ('fig2 n=4 x1 at user 2', 1e+16, '0x1.05687a6839149p-26', '0x1.05110020541f2p-26'),
+    ('fig2 n=1 user 2', 0.0, '0x1.ca27c9d449d5cp-2', '0x1.cba5ecf20c3cap-2'),
+    ('fig2 n=1 user 2', 0.01, '0x1.ca0842e36adc7p-2', '0x1.cb84e50fb8affp-2'),
+    ('fig2 n=1 user 2', 1.0, '0x1.c8ec5bf57e76fp-2', '0x1.ca5b9e76a2ed6p-2'),
+    ('fig2 n=1 user 2', 100.0, '0x1.bdc7bf3bc109dp-2', '0x1.bec042b2c2e02p-2'),
+    ('fig2 n=1 user 2', 1000.0, '0x1.a2cc031e7a07bp-2', '0x1.a30529089b420p-2'),
+    ('fig2 n=1 user 2', 10000.0, '0x1.501a6defc4381p-2', '0x1.4fd3bad591f73p-2'),
+    ('fig2 n=1 user 2', 100000.0, '0x1.41732b4600c71p-3', '0x1.41780686d51b3p-3'),
+    ('fig2 n=1 user 2', 100000000.0, '0x1.92aaa26e0e106p-9', '0x1.9215270e42609p-9'),
+    ('fig2 n=1 user 2', 1e+16, '0x1.3f20a9678171bp-22', '0x1.3eb5de9c2706dp-22'),
+    ('fig2 n=1 x1 at user 2', 0.0, '0x1.ca27c9d449d5cp-2', '0x1.cba5ecf20c3cap-2'),
+    ('fig2 n=1 x1 at user 2', 0.01, '0x1.c9f7a07193fa2p-2', '0x1.cb73785f2119bp-2'),
+    ('fig2 n=1 x1 at user 2', 1.0, '0x1.c845a7eedce22p-2', '0x1.c9ad622123e72p-2'),
+    ('fig2 n=1 x1 at user 2', 100.0, '0x1.b72f62b0cf2fep-2', '0x1.b7fbe031c2e97p-2'),
+    ('fig2 n=1 x1 at user 2', 1000.0, '0x1.8e7e57edf2866p-2', '0x1.8eb1616949ce5p-2'),
+    ('fig2 n=1 x1 at user 2', 10000.0, '0x1.27205c544c344p-2', '0x1.27145ba9a7884p-2'),
+    ('fig2 n=1 x1 at user 2', 100000.0, '0x1.405a6a5a58fa1p-3', '0x1.403103a97daf6p-3'),
+    ('fig2 n=1 x1 at user 2', 100000000.0, '0x1.d70cf2cbebf38p-9', '0x1.d6533ed658204p-9'),
+    ('fig2 n=1 x1 at user 2', 1e+16, '0x1.6d9b7b8b2f1acp-22', '0x1.6d2122bc0d0c2p-22'),
+    ('fig5 25/25/50 user 1', 0.0, '0x1.fe5656cfea941p-2', '0x1.ffffffff0a234p-2'),
+    ('fig5 25/25/50 user 1', 0.01, '0x1.ee9f6ba53a680p-2', '0x1.efa30254687dep-2'),
+    ('fig5 25/25/50 user 1', 1.0, '0x1.65c0e4608bc14p-2', '0x1.658d78c4003e5p-2'),
+    ('fig5 25/25/50 user 1', 100.0, '0x1.a3e2fce15752ep-5', '0x1.a4f1c109c1dbap-5'),
+    ('fig5 25/25/50 user 1', 1000.0, '0x1.2f51717071943p-6', '0x1.2ced6a3779b16p-6'),
+    ('fig5 25/25/50 user 1', 10000.0, '0x1.ea3078a640702p-7', '0x1.e48461362f16ep-7'),
+    ('fig5 25/25/50 user 1', 100000.0, '0x1.deac735e77a85p-7', '0x1.d8ece1dd4c1e9p-7'),
+    ('fig5 25/25/50 user 1', 100000000.0, '0x1.dd65bc47bf25ap-7', '0x1.d7a40cef3d28cp-7'),
+    ('fig5 25/25/50 user 1', 1e+16, '0x1.dd65689230f7ep-7', '0x1.d7a3b8af22fb0p-7'),
+    ('fig5 25/25/50 user 2', 0.0, '0x1.fe5656cfea9a0p-2', '0x1.ffffffff0a234p-2'),
+    ('fig5 25/25/50 user 2', 0.01, '0x1.f38515d6db08dp-2', '0x1.f4b4337ef218ep-2'),
+    ('fig5 25/25/50 user 2', 1.0, '0x1.91cd6d3b52f1dp-2', '0x1.911e4a313d1f8p-2'),
+    ('fig5 25/25/50 user 2', 100.0, '0x1.0cd7f811086c6p-5', '0x1.0a102743d93fcp-5'),
+    ('fig5 25/25/50 user 2', 1000.0, '0x1.1f637bc12fff7p-7', '0x1.137aa8b8339eep-7'),
+    ('fig5 25/25/50 user 2', 10000.0, '0x1.c846aa696430ap-8', '0x1.b274aaa9b3c8ep-8'),
+    ('fig5 25/25/50 user 2', 100000.0, '0x1.bd10365d30af4p-8', '0x1.a777fd2d6dd8ep-8'),
+    ('fig5 25/25/50 user 2', 100000000.0, '0x1.bbd3805ccd664p-8', '0x1.a641c37ed6434p-8'),
+    ('fig5 25/25/50 user 2', 1e+16, '0x1.bbd32f40a2f88p-8', '0x1.a641740c9ce56p-8'),
+    ('fig5 25/25/50 user 3', 0.0, '0x1.fe5656d0dfa86p-2', '0x1.0000000000000p-1'),
+    ('fig5 25/25/50 user 3', 0.01, '0x1.fbea1ea0e957cp-2', '0x1.fd76a71cd10b4p-2'),
+    ('fig5 25/25/50 user 3', 1.0, '0x1.e5f8bec9851b4p-2', '0x1.e6a6cf4c8cc80p-2'),
+    ('fig5 25/25/50 user 3', 100.0, '0x1.125a260d9a91bp-2', '0x1.123e7cd4b46eep-2'),
+    ('fig5 25/25/50 user 3', 1000.0, '0x1.ca527a15db5ecp-6', '0x1.c35d8bf4c3076p-6'),
+    ('fig5 25/25/50 user 3', 10000.0, '0x1.39b2eb4536f36p-22', '0x1.61e19936fb86ep-23'),
+    ('fig5 25/25/50 user 3', 100000.0, '0x1.05208507ffcacp-52', '0x1.809e477671bdap-53'),
+    ('fig5 25/25/50 user 3', 100000000.0, '0x1.3976b9d5feebdp-67', '0x1.38eda48040110p-67'),
+    ('fig5 25/25/50 user 3', 1e+16, '0x1.d83c23a1525f3p-81', '0x1.d79e1be6d56c5p-81'),
+    ('(0.5, 0.3, 0.2) user 1', 0.0, 'InvalidParameterError', '0x1.ffffffff0a234p-2'),
+    ('(0.5, 0.3, 0.2) user 1', 0.01, 'InvalidParameterError', '0x1.fbfd5bf041508p-2'),
+    ('(0.5, 0.3, 0.2) user 1', 1.0, 'InvalidParameterError', '0x1.d82e43357f386p-2'),
+    ('(0.5, 0.3, 0.2) user 1', 100.0, 'InvalidParameterError', '0x1.044f658cd1af3p-2'),
+    ('(0.5, 0.3, 0.2) user 1', 1000.0, 'InvalidParameterError', '0x1.bb109f8b6d73fp-3'),
+    ('(0.5, 0.3, 0.2) user 1', 10000.0, 'InvalidParameterError', '0x1.db6b53aa078c5p-3'),
+    ('(0.5, 0.3, 0.2) user 1', 100000.0, 'InvalidParameterError', '0x1.e123e4850a534p-3'),
+    ('(0.5, 0.3, 0.2) user 1', 100000000.0, 'InvalidParameterError', '0x1.e1cd988700134p-3'),
+    ('(0.5, 0.3, 0.2) user 1', 1e+16, 'InvalidParameterError', '0x1.e1cdc42f61881p-3'),
+    ('(0.5, 0.5) user 1', 0.0, 'InvalidParameterError', '0x1.ffffffff0a234p-2'),
+    ('(0.5, 0.5) user 1', 0.01, 'InvalidParameterError', '0x1.fbfd5bf059761p-2'),
+    ('(0.5, 0.5) user 1', 1.0, 'InvalidParameterError', '0x1.d82e676976374p-2'),
+    ('(0.5, 0.5) user 1', 100.0, 'InvalidParameterError', '0x1.116e623ad423cp-2'),
+    ('(0.5, 0.5) user 1', 1000.0, 'InvalidParameterError', '0x1.0007536ecb72bp-2'),
+    ('(0.5, 0.5) user 1', 10000.0, 'InvalidParameterError', '0x1.00001c7dc8f73p-2'),
+    ('(0.5, 0.5) user 1', 100000.0, 'InvalidParameterError', '0x1.00000e899b615p-2'),
+    ('(0.5, 0.5) user 1', 100000000.0, 'InvalidParameterError', '0x1.00000d6dc8c0cp-2'),
+    ('(0.5, 0.5) user 1', 1e+16, 'InvalidParameterError', '0x1.00000d6d826fbp-2'),
+    ('zero elements, shared zone', 0.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 0.01, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 1.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 100.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 1000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 10000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 100000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 100000000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, shared zone', 1e+16, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 0.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 0.01, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 1.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 100.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 1000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 10000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 100000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 100000000.0, 'InvalidParameterError', '0x1.0000000000000p-1'),
+    ('zero elements, sole occupant', 1e+16, 'InvalidParameterError', '0x1.0000000000000p-1'),
+]
+GOLDEN_IMPERFECT_SIC = [  # (pair, snr, value)
+    ('fig2 n=50', 0.0, '0x1.ff2a7a77a4420p-2'),
+    ('fig2 n=50', 0.01, '0x1.fc1e52e0e5b54p-2'),
+    ('fig2 n=50', 1.0, '0x1.db93d6bfff3d5p-2'),
+    ('fig2 n=50', 100.0, '0x1.cdddc87a3844ep-4'),
+    ('fig2 n=50', 1000.0, '0x1.0001bbc8f905ap-9'),
+    ('fig2 n=50', 10000.0, '0x1.36f143f19d6bfp-31'),
+    ('fig2 n=50', 100000.0, '0x1.1ef1f7afb0b16p-61'),
+    ('fig2 n=50', 100000000.0, '0x1.e6cd54439dacdp-69'),
+    ('fig2 n=50', 1e+16, '0x1.81938aad0ee06p-82'),
+    ('fig2 n=4', 0.0, '0x1.fdb99b218f957p-2'),
+    ('fig2 n=4', 0.01, '0x1.fd7b63e374426p-2'),
+    ('fig2 n=4', 1.0, '0x1.fb42bc627ece3p-2'),
+    ('fig2 n=4', 100.0, '0x1.e1c71069ad575p-2'),
+    ('fig2 n=4', 1000.0, '0x1.93be9c060f460p-2'),
+    ('fig2 n=4', 10000.0, '0x1.7bd5dabff4cf4p-3'),
+    ('fig2 n=4', 100000.0, '0x1.bb5ebc3c75966p-6'),
+    ('fig2 n=4', 100000000.0, '0x1.c8a242372ad71p-13'),
+    ('fig2 n=4', 1e+16, '0x1.66e118b283b4ap-26'),
+    ('fig2 n=1', 0.0, '0x1.e23f15a7c1410p-2'),
+    ('fig2 n=1', 0.01, '0x1.e22b1ffffc002p-2'),
+    ('fig2 n=1', 1.0, '0x1.e176da1d46cdfp-2'),
+    ('fig2 n=1', 100.0, '0x1.da2e6d76ad4dap-2'),
+    ('fig2 n=1', 1000.0, '0x1.c71137ce92712p-2'),
+    ('fig2 n=1', 10000.0, '0x1.82cc5fcc9cfe4p-2'),
+    ('fig2 n=1', 100000.0, '0x1.af5830af320d3p-3'),
+    ('fig2 n=1', 100000000.0, '0x1.3e5f52d6527a7p-8'),
+    ('fig2 n=1', 1e+16, '0x1.f5ee600e73e06p-22'),
+]
+
+
+def _hex(route, *args):
+    try:
+        return route(*args).hex()
+    except Exception as exc:  # the table records which type is raised
+        return type(exc).__name__
+
+
+def _owens_t_branch(h, a):
+    # The branch _owens_t takes for these arguments, in its own order.
+    if a < 0.0:
+        return "odd"
+    x = abs(h) * a
+    if x >= analytic._OWEN_CUT:
+        return "cut"
+    if a > 1.0:
+        return "reflection"
+    return 8 if x < 1.0 and a < 0.25 else 12 if x < 2.0 else 16 if x < 5.0 else 24
+
+
+class TestGolden:
+    """Every route returns the same bits as the reference table."""
+
+    def test_asymptote(self):
+        for name, params in GOLDEN_CASES.items():
+            assert _hex(ber_asymptotic, params) == GOLDEN_ASYMPTOTE[name], name
+
+    def test_closed_form_and_numeric(self):
+        for name, snr, closed, numeric in GOLDEN_CELLS:
+            params = GOLDEN_CASES[name]
+            assert _hex(ber_closed_form, params, snr) == closed, (name, snr)
+            assert _hex(ber_numeric, params, snr) == numeric, (name, snr)
+
+    def test_imperfect_sic(self):
+        for pair, snr, value in GOLDEN_IMPERFECT_SIC:
+            user2 = GOLDEN_CASES[pair + " user 2"]
+            x1 = GOLDEN_CASES[pair + " x1 at user 2"]
+            assert _hex(ber_imperfect_sic, user2, x1, snr) == value, (pair, snr)
+
+    def test_table_reaches_every_branch(self, monkeypatch):
+        branches, tails = set(), []
+        owens_t, tail_difference = analytic._owens_t, analytic._tail_difference
+
+        def counted_owens_t(h, a, *known):
+            branches.add(_owens_t_branch(h, a))
+            return owens_t(h, a, *known)
+
+        def counted_tail_difference(m, width):
+            tails.append(m)
+            return tail_difference(m, width)
+
+        monkeypatch.setattr(analytic, "_owens_t", counted_owens_t)
+        monkeypatch.setattr(analytic, "_tail_difference", counted_tail_difference)
+        self.test_closed_form_and_numeric()
+        assert branches == {"cut", "reflection", 8, 12, 16, 24}
+        assert tails
+        # the zero-variance shortcut and a negative sign amplitude
+        assert GOLDEN_CASES["zero elements, shared zone"].variance == 0.0
+        assert min(GOLDEN_CASES["(0.5, 0.3, 0.2) user 1"].amplitudes) < 0.0

@@ -124,7 +124,7 @@ class TestPointCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2
         for label in ("ber_mc=", "ci95=", "ber_closed_form=", "ber_numeric=",
-                      "ber_asymptotic=", "trials=", "errors="):
+                      "ber_asymptotic=", "trials=", "errors=", "stop="):
             assert label in out[0]
 
     def test_sole_occupant_prints_no_floor(self, config_path, capsys):
@@ -141,6 +141,7 @@ class TestPointCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert all(" trials=1000 " in line for line in lines)
+        assert all(line.endswith(" stop=max_trials") for line in lines)
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         bad = json.loads(json.dumps(STAR_CONFIG))
@@ -194,7 +195,9 @@ class TestSweepCommand:
                    "--format", "json", *fast_args()])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert list(doc["rows"][0].keys()) == CSV_HEADER.split(",")
+        assert list(doc["rows"][0].keys()) == CSV_HEADER.split(",") + ["stop_reason"]
+        # --min-errors 10 is reached long before --max-trials 70000
+        assert {row["stop_reason"] for row in doc["rows"]} == {"min_errors"}
 
     def test_no_floor_column_value(self, config_path, tmp_path):
         out = tmp_path / "c.csv"

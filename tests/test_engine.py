@@ -11,6 +11,9 @@ from starnoma import presets
 from starnoma.engine import (
     CLASSICAL_VARIANT,
     STAR_VARIANT,
+    STOP_CI_WIDTH,
+    STOP_MAX_TRIALS,
+    STOP_MIN_ERRORS,
     WILSON_Z,
     BerEstimate,
     ScenarioConfig,
@@ -168,6 +171,24 @@ class TestDeterminism:
         earlier = point(est.trials - block)
         assert earlier.trials == est.trials - block and not met(earlier)
 
+    @pytest.mark.parametrize("rule,snr_db,reason", [
+        (StoppingRule(min_errors=10**9, max_trials=3 * 4096), 0.0, STOP_MAX_TRIALS),
+        (StoppingRule(min_errors=50, max_trials=10**7), 0.0, STOP_MIN_ERRORS),
+        (StoppingRule(min_errors=1, max_trials=10**7, target_ci_width=0.2), 30.0,
+         STOP_CI_WIDTH),
+        # Both hold at the first boundary: max_trials is checked first.
+        (StoppingRule(min_errors=1, max_trials=4096), 0.0, STOP_MAX_TRIALS),
+    ], ids=["max_trials", "min_errors", "ci_width", "max_trials_first"])
+    def test_stop_reason_names_the_criterion_that_fired(self, rule, snr_db, reason):
+        for workers in (1, 2):
+            est = run_ber_point(star_config(), snr_db, 0, rule, seed=5, block_size=4096,
+                                workers=workers)
+            assert est.stop_reason == reason, workers
+            if reason == STOP_MIN_ERRORS:
+                assert est.errors >= rule.min_errors and est.trials < rule.max_trials
+            if reason == STOP_MAX_TRIALS:
+                assert est.trials == rule.max_trials
+
     def test_stream_keys_decorrelate_cells(self):
         cfg = star_config()
         rule = StoppingRule(min_errors=50, max_trials=200_000)
@@ -288,6 +309,32 @@ class TestOrderingCheck:
                    UserSpec(6.0, "reflection", 0, 0.3, classical_distance=6.0)),
             bs_ris_distance=20.0)
         assert len(ordering_warnings(cfg)) == 1
+
+    RULE = StoppingRule(min_errors=1, max_trials=1000)
+
+    def test_elements_sweep_drops_a_base_split_warning(self):
+        # The base split (60, 6) favours the farther user 1; every swept
+        # point gives both users the same count, so user 2 is stronger.
+        cfg = star_config(n1=60, n2=6, d=(8.0, 4.0))
+        assert len(ordering_warnings(cfg)) == 1
+        result = run_sweep(cfg, "elements", [8, 16], [0], self.RULE, snr_db=20.0)
+        assert result.warnings == ()
+        # An SNR sweep simulates the base config at every point: the warning
+        # holds throughout and reads as ordering_warnings gives it.
+        result = run_sweep(cfg, "snr_db", [0.0, 10.0], [0], self.RULE)
+        assert result.warnings == ordering_warnings(cfg)
+
+    def test_elements_sweep_warns_where_each_point_does(self):
+        # Silent on the base split (6, 60); with equal counts the nearer
+        # user 1 has the stronger channel at every swept point.
+        cfg = star_config(n1=6, n2=60, d=(4.0, 8.0))
+        assert ordering_warnings(cfg) == ()
+        result = run_sweep(cfg, "elements", [8, 16], [0], self.RULE, snr_db=20.0)
+        assert result.warnings == tuple(
+            f"at elements={n}: {w}" for n in (8, 16)
+            for w in ordering_warnings(replace(cfg, users=tuple(
+                replace(u, elements=n) for u in cfg.users))))
+        assert len(result.warnings) == 2
 
 
 class TestSweep:
