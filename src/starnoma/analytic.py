@@ -347,12 +347,19 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
     mu, v = params.mean, params.variance
     root = _root_effective_snr(params, snr)
     amps = params.amplitudes
+    # Plain loops, not sum(): from Python 3.12 sum() compensates float
+    # rounding, and these loops give the same bits on every version.
+    total = 0.0
     if v == 0.0:
-        return sum(_q(amp * mu * root) for amp in amps) / len(amps)
+        for amp in amps:
+            total += _q(amp * mu * root)
+        return total / len(amps)
     sigma = math.sqrt(v)
     scale, m = sigma * root, mu / sigma
     qm = _q(m)
-    return sum(_positive_gain_tail(amp * scale, m, qm) for amp in amps) / len(amps)
+    for amp in amps:
+        total += _positive_gain_tail(amp * scale, m, qm)
+    return total / len(amps)
 
 
 def _closed_form_sum(params: UserAnalyticParams, root_snr: float) -> float:
@@ -370,17 +377,18 @@ def _closed_form_sum(params: UserAnalyticParams, root_snr: float) -> float:
         raise InvalidParameterError(
             "a sign combination has non-positive amplitude; the one-sided "
             "tail fit does not cover this allocation")
-    # Each exponent is summed left to right, its constant terms first.
+    # Each exponent is summed left to right, its constant terms first, and
+    # the terms in a plain loop, as in ber_numeric.
     base = -FIT_C - mu * mu / (2.0 * v)
     two_v = 2.0 * v
-    terms = []
+    total = 0.0
     for amp in amps:
         beta = amp * root_snr
         bv = beta * v
         d = (FIT_B * bv - mu) / math.sqrt(4.0 * FIT_A * bv * bv + two_v)
-        terms.append(exp(base + d * d + math.log(math.erfc(d)) - _LOG_2
-                         - 0.5 * math.log1p(2.0 * FIT_A * beta * bv)))
-    return sum(terms) / len(amps)
+        total += exp(base + d * d + math.log(math.erfc(d)) - _LOG_2
+                     - 0.5 * math.log1p(2.0 * FIT_A * beta * bv))
+    return total / len(amps)
 
 
 def ber_closed_form(params: UserAnalyticParams, snr: float) -> float:

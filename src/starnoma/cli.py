@@ -33,7 +33,6 @@ import math
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -218,6 +217,8 @@ def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
                    outputs: Sequence[Path], warnings_list: Sequence[str],
                    rule: StoppingRule, workers: int) -> None:
     """Record what produced ``outputs``, including what byte-identity needs."""
+    from datetime import datetime, timezone
+
     import numpy
     doc = {
         "tool": "starnoma",

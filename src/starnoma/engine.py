@@ -25,7 +25,6 @@ boundaries, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -289,6 +288,8 @@ def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.
 def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingRule,
                seed: int, stream_key: Tuple[int, ...], block_size: int,
                workers: int) -> BerEstimate:
+    from concurrent.futures import ThreadPoolExecutor  # loaded with the first point
+
     # Checked here: a negative index would silently simulate another user.
     if count("user", user) >= config.n_users:
         raise InvalidParameterError(f"user index {user} out of range")

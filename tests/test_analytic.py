@@ -1,6 +1,7 @@
+import builtins
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -478,6 +479,46 @@ class TestDerivedFields:
         self.assert_derived(regained)
         assert regained.mean != params.mean
 
+    @staticmethod
+    def derived(params):
+        return {f.name: getattr(params, f.name) for f in fields(params) if not f.init}
+
+    def test_replace_matches_fresh_construction(self):
+        params = make_params(index=1, coeffs=(0.5, 0.3, 0.2), own=25, zone=50)
+        given = {f.name: getattr(params, f.name) for f in fields(params) if f.init}
+        for changes in ({"index": 0}, {"overall_gain": FIG2_GAIN_U1, "own_elements": 10},
+                        {"own_elements": 0}):
+            fresh = UserAnalyticParams(**{**given, **changes})
+            assert self.derived(replace(params, **changes)) == self.derived(fresh), changes
+
+    def test_routes_change_no_equality_or_hash(self):
+        user2 = make_params(own=25, zone=50)
+        x1 = replace(user2, index=0)
+        twins = [make_params(own=25, zone=50), make_params(index=0, own=25, zone=50)]
+        hashes = [hash(user2), hash(x1)]
+        for params in (user2, x1):
+            ber_closed_form(params, 100.0)
+            ber_numeric(params, 100.0)
+            ber_asymptotic(params)
+        ber_imperfect_sic(user2, x1, 100.0)
+        assert [user2, x1] == twins
+        assert [hash(user2), hash(x1)] == hashes == [hash(t) for t in twins]
+        assert [repr(user2), repr(x1)] == [repr(t) for t in twins]
+
+    def test_zero_elements_take_the_zero_variance_branches(self, monkeypatch):
+        def gaussian_gain_tail(*args):
+            raise AssertionError("integrated over a gain distribution with no variance")
+
+        monkeypatch.setattr(analytic, "_positive_gain_tail", gaussian_gain_tail)
+        for params in (make_params(own=0, zone=10),
+                       make_params(index=0, coeffs=(0.5, 0.3, 0.2), own=0, zone=25)):
+            assert params.variance == 0.0
+            assert ber_numeric(params, 100.0) == 0.5
+            # the variance is named even where a sign amplitude is negative
+            for route, args in ((ber_closed_form, (100.0,)), (ber_asymptotic, ())):
+                with pytest.raises(InvalidParameterError, match="variance"):
+                    route(params, *args)
+
 
 class TestBerClosedForm:
     def test_zero_snr_level(self):
@@ -838,6 +879,27 @@ def _owens_t_branch(h, a):
     return 8 if x < 1.0 and a < 0.25 else 12 if x < 2.0 else 16 if x < 5.0 else 24
 
 
+def _compensated_sum(iterable, /, start=0):
+    # CPython 3.12's built-in sum(): once the running total is a float, a
+    # run of floats is added with Neumaier's compensation (Objects/bltinmodule.c).
+    items = list(iterable)
+    total, i = start, 0
+    while i < len(items) and type(total) is not float:
+        total, i = total + items[i], i + 1
+    rest = items[i:]
+    if not all(type(x) is float for x in rest):
+        return _BUILTIN_SUM(rest, total)
+    c = 0.0
+    for x in rest:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+_BUILTIN_SUM = builtins.sum
+
+
 class TestGolden:
     """Every route returns the same bits as the reference table."""
 
@@ -856,6 +918,16 @@ class TestGolden:
             user2 = GOLDEN_CASES[pair + " user 2"]
             x1 = GOLDEN_CASES[pair + " x1 at user 2"]
             assert _hex(ber_imperfect_sic, user2, x1, snr) == value, (pair, snr)
+
+    def test_same_bits_under_compensated_sum(self, monkeypatch):
+        # The table holds on every supported Python: no route may add its
+        # terms with sum(), whose float rounding changed in 3.12.
+        assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        assert _compensated_sum([0.1] * 10) == 1.0  # 0.9999999999999999 on 3.11
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        self.test_asymptote()
+        self.test_closed_form_and_numeric()
+        self.test_imperfect_sic()
 
     def test_table_reaches_every_branch(self, monkeypatch):
         branches, tails = set(), []

@@ -410,6 +410,13 @@ class TestImport:
         assert lines[1] == "rc 1" and "users[0].elements" in err
         assert lines[2:] == [__version__, "rc 0", "loaded []"]
 
+    def test_pool_and_clock_load_on_first_use(self):
+        # Start-up loads only what runs: the thread pool comes with the first
+        # Monte Carlo point and the clock with the first manifest.
+        code = ("import sys, starnoma.cli; "
+                "print([m for m in ('concurrent.futures', 'datetime') if m in sys.modules])")
+        assert fresh_python(code)[0].split() == ["[]"]
+
     def test_first_numpy_import_on_pool_threads(self, tmp_path):
         # The Monte Carlo blocks make the first arrays, so a fresh interpreter
         # imports numpy on a pool thread, with two workers possibly on both
