@@ -10,8 +10,6 @@ from .analytic import (
     ber_imperfect_sic,
     ber_numeric,
     conditional_ber,
-    interference_penalty,
-    q_approx,
     q_exact,
     sign_combinations,
 )

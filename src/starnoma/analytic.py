@@ -10,8 +10,8 @@ imperfect-cancellation combination.
 
 The special functions are evaluated here in pure Python on top of
 ``math.erfc`` and ``math.exp``; the package imports no scipy at all, and
-only the array helpers (``q_exact``, ``q_approx``, ``conditional_ber``)
-import numpy, so the BER routes run without it.
+only the array helpers (``q_exact``, ``conditional_ber``) import numpy,
+so the BER routes run without it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .rules import count, nonnegative, positive
 # complex noise-plus-interference power lands on the decision axis, so the
 # effective SNR in every Gaussian-tail argument carries a factor 2.
 COHERENT_SNR_FACTOR = 2.0
-_NO_FLOOR = "user {} is the sole occupant of its zone; its error rate keeps falling with SNR"
 
 
 # Coefficients of the one-sided exponential tail fit exp(-a x^2 - b x - c).
@@ -96,15 +95,6 @@ def q_exact(x):
     return np.asarray(_q_array(np.asarray(x, dtype=float)), dtype=float)[()]
 
 
-def q_approx(x):
-    """Exponential tail approximation, valid for nonnegative arguments only."""
-    import numpy as np
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise InvalidParameterError("the exponential tail fit is one-sided; x must be >= 0")
-    return np.exp(-(FIT_A * arr * arr + FIT_B * arr + FIT_C))
-
-
 @dataclass(frozen=True)
 class UserAnalyticParams:
     """Everything the error-rate expressions need to know about one user.
@@ -161,42 +151,20 @@ def sign_combinations(user: int, alloc: PowerAllocation) -> Tuple[float, ...]:
     return tuple(amps)
 
 
-def interference_penalty(params: UserAnalyticParams, snr: float) -> float:
-    """SNR deflation caused by same-zone subsurface leakage.
-
-    Evaluates (1 + L * (N_zone - N_own) * snr / P)**-1, the interferers
-    carrying unit power against noise power P / snr; exactly 1 for a sole
-    occupant.
-    """
+def _root_effective_snr(params: UserAnalyticParams, snr: float) -> float:
+    # sqrt(2 rho snr / P), the decision-axis SNR in every tail argument.
+    # rho = (1 + L (N_zone - N_own) snr / P)**-1 is the deflation by
+    # same-zone leakage, the interferers carrying unit power against noise
+    # power P / snr; exactly 1 for a sole occupant.  snr is P / sigma^2 and
+    # the amplitudes sqrt(a_k P) already carry P, so the division keeps it
+    # from counting twice.  The root is taken factor by factor: 2 snr / P
+    # overflows for snr past about 9e307, which rules.snr_from_db accepts.
     nonnegative("snr", snr)
     extra = params.co_zone_elements
-    if extra == 0:
-        return 1.0
-    return 1.0 / (1.0 + params.overall_gain * extra * snr / params.alloc.power)
-
-
-def effective_snr(params: UserAnalyticParams, snr: float) -> float:
-    """Decision-axis SNR entering every tail argument: 2 * rho * snr / P.
-
-    ``snr`` is P / sigma^2 and the amplitudes sqrt(a_k P) already carry the
-    transmit power, so the division keeps P from counting twice.
-    """
-    return COHERENT_SNR_FACTOR * interference_penalty(params, snr) * snr / params.alloc.power
-
-
-def _root_effective_snr(params: UserAnalyticParams, snr: float) -> float:
-    # sqrt(effective_snr) from the roots of its factors: 2 * snr / P
-    # overflows for snr past about 9e307, which rules.snr_from_db accepts.
-    return (math.sqrt(COHERENT_SNR_FACTOR * interference_penalty(params, snr))
+    rho = 1.0 if extra == 0 else 1.0 / (1.0 + params.overall_gain * extra * snr
+                                        / params.alloc.power)
+    return (math.sqrt(COHERENT_SNR_FACTOR * rho)
             * math.sqrt(snr) / math.sqrt(params.alloc.power))
-
-
-def asymptotic_effective_snr(params: UserAnalyticParams) -> float:
-    """High-SNR limit of ``effective_snr``; only exists with interference."""
-    extra = params.co_zone_elements
-    if extra == 0:
-        raise NoErrorFloor(_NO_FLOOR.format(params.index))
-    return COHERENT_SNR_FACTOR / (params.overall_gain * extra)
 
 
 def conditional_ber(phi, params: UserAnalyticParams, snr: float):
@@ -407,9 +375,13 @@ def ber_asymptotic(params: UserAnalyticParams) -> float:
     Raises :class:`NoErrorFloor` for sole-occupant users, whose error rate
     vanishes with SNR instead of flattening.
     """
-    if params.co_zone_elements == 0:
-        raise NoErrorFloor(_NO_FLOOR.format(params.index))
-    return _closed_form_sum(params, math.sqrt(asymptotic_effective_snr(params)))
+    extra = params.co_zone_elements
+    if extra == 0:
+        raise NoErrorFloor(f"user {params.index} is the sole occupant of its zone; "
+                           "its error rate keeps falling with SNR")
+    # As the noise P / snr vanishes, 2 rho snr / P tends to 2 / (L N_c).
+    return _closed_form_sum(
+        params, math.sqrt(COHERENT_SNR_FACTOR / (params.overall_gain * extra)))
 
 
 def imperfect_sic_mixture(ber_own: float, prob_stage_correct: float) -> float:

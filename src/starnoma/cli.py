@@ -17,9 +17,10 @@ The ``system`` and ``users`` fields are those of :class:`ScenarioConfig`
 and :class:`UserSpec`, whose rules check and convert each value: numeric
 fields must be JSON numbers, not ``true``/``false`` or quoted numbers.
 Users are numbered from 1 in configs, options and outputs; indices are
-zero-based inside the package.  An absent user list means every user; an
-empty one is an error.  Exit codes: 0 success, 1 validation
-failure (including NaN or infinite input), 2 runtime/numeric failure.
+zero-based inside the package.  An absent list option means its default
+(every user, a preset's grid); an empty one is an error.  Exit codes: 0
+success, 1 validation failure (including NaN or infinite input), 2
+runtime/numeric failure.
 Outputs are written to a temporary file and renamed into place, so a
 failed run leaves earlier outputs untouched.
 """
@@ -349,8 +350,13 @@ def cmd_sweep(args) -> int:
 
 def _figure_plan(args) -> presets.FigurePlan:
     name = args.name
-    snr_values = args.snr_values or []
-    for i, v in enumerate(snr_values):
+    for option, given in (("--snr-values", args.snr_values),
+                          ("--elements", args.elements),
+                          ("--allocations", args.allocations)):
+        if given == []:
+            raise ConfigError(f"{option} must be nonempty")
+    snr_values = args.snr_values
+    for i, v in enumerate(snr_values or ()):
         snr_from_db(f"--snr-values[{i}]", v)
     allocations = [power_coefficients(f"--allocations[{j}][{{}}]", pair)
                    for j, pair in enumerate(args.allocations or ())]

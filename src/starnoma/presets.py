@@ -54,7 +54,7 @@ class FigurePlan:
 
 def _snr_grid(values: Optional[Sequence[float]], default: Tuple[float, ...]
               ) -> Tuple[float, ...]:
-    return tuple(float(v) for v in values) if values else default
+    return default if values is None else tuple(float(v) for v in values)
 
 
 def _two_user_cross_zone(d_bs: float, d1: float, d2: float, a1: float, a2: float,
@@ -132,7 +132,10 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
     Default power splits differ by 0.1; both users are swept over the same
     symmetric element grid.
     """
-    values = tuple(float(n) for n in (element_values or range(6, 62, 2)))
+    values = tuple(float(n) for n in (range(6, 62, 2) if element_values is None
+                                      else element_values))
+    if not values:
+        raise ConfigError("fig4 requires a nonempty element grid")
     runs = []
     for a1, a2 in allocations:
         cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, int(values[0]), GENIE)

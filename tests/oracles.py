@@ -1,9 +1,13 @@
 """Independent reference computations shared by the test modules.
 
-Everything here is built from first principles (pattern enumeration,
-density quadrature, Gaussian identities, per-element channel draws and a
-scalar receiver) rather than from the package's own formula paths, so
-agreement is evidence and not tautology.
+Everything here is built from the model's own terms (pattern
+enumeration, density quadrature, Gaussian identities written out with
+``scipy.special.erfc`` or ``mpmath``, per-element channel draws and a
+scalar receiver) rather than from the package's formula paths: the
+oracles read only the inputs of a ``UserAnalyticParams`` (the power
+split, gain, zone sizes and the gain moments ``clt_moments`` derives),
+never its tail function or effective SNR, so agreement is evidence and
+not tautology.
 
 Two groups of reference models live here:
 
@@ -47,7 +51,7 @@ from scipy import integrate
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from starnoma.analytic import UserAnalyticParams, conditional_ber
+from starnoma.analytic import UserAnalyticParams
 from starnoma.channel import _CASCADE_ROWS
 from starnoma.engine import ScenarioConfig
 from starnoma.errors import InvalidParameterError, NumericError
@@ -85,6 +89,18 @@ def decision_region_oracle(params: UserAnalyticParams, phi: float, snr: float) -
     return total / len(patterns)
 
 
+def _tail_slopes(params: UserAnalyticParams, snr: float) -> list:
+    """Q-argument per unit gain, A * sqrt(2 rho snr / P), one per interferer
+    sign pattern (enumerated by itertools), from the physical powers."""
+    alloc = params.alloc
+    k, K = params.index, params.n_users
+    amps = [math.sqrt(a * alloc.power) for a in alloc.coefficients]
+    eff = 2.0 * snr / (1.0 + params.overall_gain * params.co_zone_elements
+                       * snr / alloc.power) / alloc.power
+    return [(amps[k] + sum(s * a for s, a in zip(signs, amps[k + 1:]))) * math.sqrt(eff)
+            for signs in itertools.product((1, -1), repeat=K - k - 1)]
+
+
 def probit_oracle(params: UserAnalyticParams, snr: float) -> float:
     """Full-line Gaussian average of the exact-tail mixture.
 
@@ -93,18 +109,11 @@ def probit_oracle(params: UserAnalyticParams, snr: float) -> float:
     zero and the upper truncation is immaterial.
     """
     mu, v = params.mean, params.variance
-    alloc = params.alloc
-    k, K = params.index, params.n_users
-    amps = [math.sqrt(a * alloc.power) for a in alloc.coefficients]
-    eff = 2.0 * snr / (1.0 + params.overall_gain * params.co_zone_elements
-                       * snr / alloc.power) / alloc.power
+    slopes = _tail_slopes(params, snr)
     total = 0.0
-    patterns = list(itertools.product((1, -1), repeat=K - k - 1))
-    for signs in patterns:
-        m = amps[k] + sum(s * a for s, a in zip(signs, amps[k + 1:]))
-        t = m * math.sqrt(eff)
+    for t in slopes:
         total += 0.5 * erfc(t * mu / math.sqrt(1.0 + t * t * v) / math.sqrt(2.0))
-    return total / len(patterns)
+    return total / len(slopes)
 
 
 def _gain_pdf(x, mu: float, v: float):
@@ -114,7 +123,9 @@ def _gain_pdf(x, mu: float, v: float):
 def quadrature_oracle(params: UserAnalyticParams, snr: float, rel_tol: float = 1e-8) -> float:
     """Quadrature oracle: conditional error rate averaged over the gain PDF.
 
-    Integrates with the exact Gaussian tail over
+    The conditional error rate is the mean over ``_tail_slopes`` of
+    Q(t x) = erfc(t x / sqrt 2) / 2, from ``scipy.special.erfc``, so no
+    package formula enters.  Integrates it over
     [max(0, mu - 10 sigma), mu + 10 sigma] using adaptive Gauss-Kronrod
     refinement split at the mean.  The degenerate zero-variance case
     collapses to the conditional error rate at the mean.
@@ -125,15 +136,20 @@ def quadrature_oracle(params: UserAnalyticParams, snr: float, rel_tol: float = 1
     """
     nonnegative("snr", snr)
     mu, v = params.mean, params.variance
+    slopes = np.array(_tail_slopes(params, snr)) / math.sqrt(2.0)
+
+    def conditional(x: float) -> float:
+        return float(np.mean(0.5 * erfc(slopes * x)))
+
     if v == 0.0:
-        return float(conditional_ber(mu, params, snr))
+        return conditional(mu)
     sigma = math.sqrt(v)
     lo = max(0.0, mu - 10.0 * sigma)
     hi = mu + 10.0 * sigma
     points = [mu] if lo < mu < hi else None
 
     def integrand(x: float) -> float:
-        return float(conditional_ber(x, params, snr)) * float(_gain_pdf(x, mu, v))
+        return conditional(x) * float(_gain_pdf(x, mu, v))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)

@@ -16,17 +16,16 @@ from oracles import (
 )
 from starnoma import analytic, presets
 from starnoma.analytic import (
+    FIT_A,
+    FIT_B,
+    FIT_C,
     UserAnalyticParams,
-    asymptotic_effective_snr,
     ber_asymptotic,
     ber_closed_form,
     ber_imperfect_sic,
     ber_numeric,
     conditional_ber,
-    effective_snr,
     imperfect_sic_mixture,
-    interference_penalty,
-    q_approx,
     q_exact,
     sign_combinations,
 )
@@ -41,6 +40,23 @@ from starnoma.rules import snr_from_db
 
 FIG2_GAIN_U1 = 50.0**-2 * 6.0**-2
 FIG2_GAIN_U2 = 50.0**-2 * 4.0**-2
+
+
+def tail_fit(x):
+    """The paper's one-sided exponential fit to Q(x), x >= 0."""
+    return np.exp(-(FIT_A * x * x + FIT_B * x + FIT_C))
+
+
+def effective_snr(params, snr):
+    """The decision-axis SNR 2 rho snr / P, written out from the model:
+    half of the noise-plus-leakage power P / snr + L N_c lands on the axis."""
+    return 2.0 * snr / (params.alloc.power
+                        + params.overall_gain * params.co_zone_elements * snr)
+
+
+def floor_snr(params):
+    """The limit of ``effective_snr`` as the noise P / snr vanishes."""
+    return 2.0 / (params.overall_gain * params.co_zone_elements)
 
 
 def make_params(index=1, coeffs=(0.7, 0.3), gain=FIG2_GAIN_U2, own=50, zone=None,
@@ -155,26 +171,36 @@ class TestOwensT:
 
 
 class TestQApprox:
+    """The tail fit the closed form integrates, and where it holds."""
+
     def test_value_at_zero(self):
-        assert float(q_approx(0.0)) == pytest.approx(0.498376232622752, rel=1e-12, abs=0)
+        assert float(tail_fit(0.0)) == pytest.approx(0.498376232622752, rel=1e-12, abs=0)
+        # At zero SNR every closed-form term is the fit at 0 times P(gain > 0).
+        params = make_params()
+        positive_gain = 1.0 - float(q_exact(params.mean / math.sqrt(params.variance)))
+        assert ber_closed_form(params, 0.0) == pytest.approx(
+            float(tail_fit(0.0)) * positive_gain, rel=1e-12, abs=0)
 
     def test_value_at_one(self):
-        assert float(q_approx(1.0)) == pytest.approx(0.158088543661715, rel=1e-12, abs=0)
+        assert float(tail_fit(1.0)) == pytest.approx(0.158088543661715, rel=1e-12, abs=0)
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidParameterError):
-            q_approx(-0.1)
+        # The fit is one-sided: the closed form refuses a negative argument,
+        # which a non-positive sign amplitude would give.
+        params = make_params(index=0, coeffs=(0.4, 0.3, 0.3), own=25, zone=25)
+        with pytest.raises(InvalidParameterError, match="one-sided"):
+            ber_closed_form(params, 100.0)
 
     def test_accuracy_envelope(self):
         # Measured behaviour of the default fit: sub-2.4% relative error on
         # [0, 2], degrading steeply beyond (documented limitation; some
         # closed-form/oracle gaps downstream inherit this).
         xs = np.linspace(0.0, 2.0, 201)
-        rel = np.abs(q_approx(xs) / q_exact(xs) - 1.0)
+        rel = np.abs(tail_fit(xs) / q_exact(xs) - 1.0)
         assert rel.max() < 0.024
-        assert abs(float(q_approx(3.0) / q_exact(3.0)) - 1.0) == pytest.approx(
+        assert abs(float(tail_fit(3.0) / q_exact(3.0)) - 1.0) == pytest.approx(
             0.175, abs=0.01)
-        assert float(q_approx(6.0) / q_exact(6.0)) > 3.0
+        assert float(tail_fit(6.0) / q_exact(6.0)) > 3.0
 
 
 class TestSignCombinations:
@@ -204,19 +230,23 @@ class TestSignCombinations:
 
 
 class TestInterferencePenalty:
+    """The SNR deflation rho by same-zone leakage, read off the root of the
+    decision-axis SNR sqrt(2 rho snr / P) that every route uses."""
+
     def test_sole_occupant(self):
         params = make_params(own=50, zone=50)
-        assert interference_penalty(params, 1e6) == 1.0
+        assert analytic._root_effective_snr(params, 1e6) == math.sqrt(2.0) * math.sqrt(1e6)
 
     def test_hand_value(self):
         params = make_params(index=0, gain=1e-6, own=25, zone=50)
-        assert interference_penalty(params, 1e4) == pytest.approx(0.8, rel=1e-12, abs=0)
+        rho = analytic._root_effective_snr(params, 1e4) ** 2 / (2.0 * 1e4)
+        assert rho == pytest.approx(0.8, rel=1e-12, abs=0)
 
     def test_high_snr_limit(self):
         params = make_params(index=0, gain=1e-6, own=25, zone=50)
-        limit = asymptotic_effective_snr(params)
+        limit = floor_snr(params)
         for snr in (1e8, 1e10):
-            assert effective_snr(params, snr) == pytest.approx(
+            assert analytic._root_effective_snr(params, snr) ** 2 == pytest.approx(
                 limit, rel=1e-3 * 1e8 / snr + 1e-6, abs=0)
 
     @pytest.mark.parametrize("power", [0.25, 4.0])
@@ -238,13 +268,16 @@ class TestInterferencePenalty:
         # the noise P / snr vanishes: the multiplier tends to 2 / (L N_c).
         unit = make_params(index=0, gain=1e-6, own=25, zone=50)
         scaled = make_params(index=0, gain=1e-6, own=25, zone=50, power=power)
-        assert asymptotic_effective_snr(scaled) == asymptotic_effective_snr(unit)
-        assert effective_snr(scaled, 1e12) == pytest.approx(
-            asymptotic_effective_snr(scaled), rel=1e-6, abs=0)
+        assert analytic._root_effective_snr(scaled, 1e12) ** 2 == pytest.approx(
+            floor_snr(unit), rel=1e-6, abs=0)
+        # The floor is the closed form's sum at exactly that limit.
+        for params in (unit, scaled):
+            assert ber_asymptotic(params) == analytic._closed_form_sum(
+                params, math.sqrt(floor_snr(unit)))
 
     def test_rejects_negative_snr(self):
         with pytest.raises(InvalidParameterError):
-            interference_penalty(make_params(), -1.0)
+            analytic._root_effective_snr(make_params(), -1.0)
 
 
 class TestConditionalBer:
@@ -255,7 +288,7 @@ class TestConditionalBer:
     def test_single_user_form(self):
         params = make_params(index=0, coeffs=(1.0,), own=50, zone=50)
         phi, snr = 0.1, 500.0
-        expected = q_exact(phi * math.sqrt(effective_snr(params, snr)))
+        expected = q_exact(phi * math.sqrt(2.0 * snr))
         assert conditional_ber(phi, params, snr) == pytest.approx(
             float(expected), rel=1e-14, abs=0)
 
@@ -372,6 +405,19 @@ class TestBerNumericDeepTail:
                     reference, rel=1e-6, abs=0.0), label
         assert compared >= 15
 
+    def test_quadrature_does_not_share_the_effective_snr(self, monkeypatch):
+        # fig2 N=50 user 2 at 20 dB.  The oracle writes its own effective
+        # SNR and tail, so a wrong one in the package moves ber_numeric
+        # (0.0669 -> 0.0500 at 1.1 times the root) and not the oracle.
+        params, snr = make_params(), 100.0
+        reference = quadrature_oracle(params, snr)
+        assert ber_numeric(params, snr) == pytest.approx(reference, rel=1e-6, abs=0)
+        root = analytic._root_effective_snr
+        monkeypatch.setattr(analytic, "_root_effective_snr",
+                            lambda p, s: 1.1 * root(p, s))
+        assert quadrature_oracle(params, snr) == reference
+        assert ber_numeric(params, snr) < 0.8 * reference
+
 
 class TestExtremeSnr:
     """Machine accuracy far past the presets, up to the largest SNR accepted."""
@@ -428,11 +474,9 @@ class TestSnrRule:
     @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("zone", [50, 75])
     def test_penalty_and_effective_snr(self, snr, zone):
-        params = make_params(zone=zone)
+        # The sole occupant (zone 50) skips the penalty but not the rule.
         with pytest.raises(InvalidParameterError, match="snr"):
-            interference_penalty(params, snr)
-        with pytest.raises(InvalidParameterError, match="snr"):
-            effective_snr(params, snr)
+            analytic._root_effective_snr(make_params(zone=zone), snr)
 
     @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
     def test_conditional_snr(self, snr):
@@ -590,10 +634,12 @@ class TestBerAsymptotic:
 
     def test_substitution_identity(self):
         params = make_params(index=0, gain=20.0**-2 * 3.0**-2, own=16, zone=32)
-        limit = asymptotic_effective_snr(params)
+        limit = floor_snr(params)
         # pick the finite snr whose effective value is within epsilon of limit
         snr = 1e12
         assert effective_snr(params, snr) == pytest.approx(limit, rel=1e-6, abs=0)
+        assert analytic._root_effective_snr(params, snr) ** 2 == pytest.approx(
+            effective_snr(params, snr), rel=1e-12, abs=0)
         assert ber_closed_form(params, snr) == pytest.approx(
             ber_asymptotic(params), rel=1e-5, abs=0)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import starnoma.cli as cli
 import starnoma.engine as engine
+from starnoma import presets
 from starnoma.analytic import UserAnalyticParams
 from starnoma.channel import clt_moments, path_gain
 from starnoma.engine import (
@@ -473,6 +474,37 @@ def _option_case(command, bad, tmp_path):
                             f"--fixed-snr-db={bad!r}", "--out", out],
                            "--fixed-snr-db"),
     }[command]
+
+
+# (figure, the list option given as ",", the other options it needs): an
+# explicitly empty list is refused by name, not read as "use the default".
+EMPTY_LIST_CASES = [
+    ("fig2", "--elements", []),
+    ("fig2", "--snr-values", []),
+    ("fig3", "--allocations", ["--elements", "4"]),
+    ("fig3", "--elements", ["--allocations", "0.7:0.3"]),
+    ("fig4", "--allocations", ["--elements", "4,8"]),
+    ("fig4", "--elements", []),
+    ("fig5", "--snr-values", ["--elements", "4,4,8"]),
+]
+
+
+@pytest.mark.parametrize("figure,option,needs", EMPTY_LIST_CASES,
+                         ids=[f"{c[0]}{c[1]}" for c in EMPTY_LIST_CASES])
+def test_empty_list_option(figure, option, needs, tmp_path, capsys, blocks):
+    argv = ["figure", figure, option, ",", *needs, "--out", str(tmp_path / "out")]
+    rc, err = run_cli(argv + FAST, capsys)
+    assert rc == 1 and f"{option} must be nonempty" in err and blocks == []
+
+
+def test_empty_preset_grids():
+    # The presets read an empty grid as empty too: the sweep refuses it.
+    with pytest.raises(ConfigError, match="element grid"):
+        presets.fig4(element_values=[])
+    run = presets.fig2(element_counts=[4], snr_values=[]).runs[0]
+    with pytest.raises(ConfigError, match="sweep.values must be nonempty"):
+        run_sweep(run.config, run.axis, run.values, run.users,
+                  StoppingRule(min_errors=1, max_trials=1))
 
 
 @PROPERTY
