@@ -49,7 +49,7 @@ from .engine import (
     run_sweep,
 )
 from .errors import ConfigError, StarNomaError
-from .rules import count, power_coefficients, snr_from_db
+from .rules import count, power_coefficients, snr_from_db, user_indices
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
@@ -115,11 +115,6 @@ def parse_config(raw: Dict) -> Tuple[ScenarioConfig, Optional[Dict]]:
     for field in ("values", "users"):
         if not isinstance(sweep.get(field, []), list):
             raise ConfigError(f"sweep.{field}: not a list (got {sweep[field]!r})")
-    # Users stay 1-based here; run_sweep checks their range and the values
-    # before any trial runs.
-    if "users" in sweep:
-        sweep = {**sweep, "users": [count(f"sweep.users[{i}]", u)
-                                    for i, u in enumerate(sweep["users"])]}
     return config, sweep
 
 
@@ -281,18 +276,14 @@ def _workers_from_args(args) -> int:
 
 
 def _user_indices(name: str, users_1based: Optional[Sequence[int]],
-                  n_users: int) -> List[int]:
+                  n_users: int) -> Tuple[int, ...]:
     """Zero-based indices of the 1-based users read from ``name``.  No list
-    means every user; an empty one or an unknown user is an error naming
-    ``name``."""
+    means every user; an empty one, a non-integer, an unknown user or a
+    repeated one is an error naming ``name``."""
     if users_1based is None:
-        return list(range(n_users))
-    if not users_1based:
-        raise ConfigError(f"{name} must be nonempty")
-    for u in users_1based:
-        if not 1 <= u <= n_users:
-            raise ConfigError(f"{name}: user {u} out of range 1..{n_users}")
-    return [u - 1 for u in users_1based]
+        return tuple(range(n_users))
+    return user_indices(name, [count(f"{name}[{i}]", u) - 1
+                               for i, u in enumerate(users_1based)], n_users)
 
 
 def cmd_point(args) -> int:
@@ -417,7 +408,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-errors", type=int, default=200)
     parser.add_argument("--max-trials", type=int, default=10**9)
-    parser.add_argument("--workers", type=int, default=1, help="worker threads")
+    parser.add_argument("--workers", type=int, default=1, help="blocks per wave")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ boundaries, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -39,8 +40,8 @@ from .channel import (
 )
 from .errors import ConfigError, InvalidParameterError, NoErrorFloor
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
-from .rules import (count, nonnegative, number, one_of, positive, power_coefficients,
-                    snr_from_db)
+from .rules import (count, nonempty, nonnegative, number, one_of, positive,
+                    power_coefficients, snr_from_db, user_indices)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -196,6 +197,18 @@ class StoppingRule:
         if self.target_ci_width is not None:
             positive("target_ci_width", self.target_ci_width)
 
+    def reason(self, errors: int, trials: int) -> Optional[str]:
+        """The criterion (``STOP_*``) met by ``errors`` in ``trials``, checked
+        in the order max_trials, min_errors, target_ci_width; None if none is."""
+        if trials >= self.max_trials:
+            return STOP_MAX_TRIALS
+        if errors < self.min_errors:
+            return None
+        if self.target_ci_width is None:
+            return STOP_MIN_ERRORS
+        lo, hi = wilson_interval(errors, trials)
+        return STOP_CI_WIDTH if (hi - lo) <= self.target_ci_width * (errors / trials) else None
+
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion; with no errors the
@@ -285,11 +298,15 @@ def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingRule,
-               seed: int, stream_key: Tuple[int, ...], block_size: int,
-               workers: int) -> BerEstimate:
+def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
+               user: int, rule: StoppingRule, seed: int, stream_key: Tuple[int, ...],
+               block_size: int, workers: int) -> BerEstimate:
+    """The Monte Carlo point of the public ``runner``, which takes ``variant`` only."""
     from concurrent.futures import ThreadPoolExecutor  # loaded with the first point
 
+    if config.variant != variant:
+        hint = "; use run_classical_point for the baseline" if variant == STAR_VARIANT else ""
+        raise ConfigError(f"{runner} expects the {variant} variant{hint}")
     # Checked here: a negative index would silently simulate another user.
     if count("user", user) >= config.n_users:
         raise InvalidParameterError(f"user index {user} out of range")
@@ -308,22 +325,10 @@ def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingR
         return _block_errors(config, user, snr, _block_rng(seed, stream_key, b),
                              block_trials(b))
 
-    errors = 0
-    trials = 0
-    blocks = 0
-
-    def stop_reason() -> Optional[str]:
-        if trials >= rule.max_trials:
-            return STOP_MAX_TRIALS
-        if errors < rule.min_errors:
-            return None
-        if rule.target_ci_width is None:
-            return STOP_MIN_ERRORS
-        lo, hi = wilson_interval(errors, trials)
-        return STOP_CI_WIDTH if (hi - lo) <= rule.target_ci_width * (errors / trials) else None
-
+    errors = trials = blocks = 0
     reason = None  # until a criterion fires
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    # Waves are ``workers`` blocks long; at most the CPU count of them run at once.
+    with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
         while reason is None:
             # Merge strictly in index order; once a stopping rule fires,
             # the wave's later (speculative) blocks are discarded.
@@ -332,7 +337,7 @@ def _run_point(config: ScenarioConfig, user: int, snr_db: float, rule: StoppingR
                 errors += res
                 trials += block_trials(blocks)
                 blocks += 1
-                if (reason := stop_reason()) is not None:
+                if (reason := rule.reason(errors, trials)) is not None:
                     break
 
     return BerEstimate.from_counts(errors, trials, seed, stream_key,
@@ -345,11 +350,8 @@ def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,
                   block_size: int = DEFAULT_BLOCK_SIZE,
                   workers: int = 1) -> BerEstimate:
     """Estimate one user's BER at one SNR point for the surface variant."""
-    if config.variant != STAR_VARIANT:
-        raise ConfigError("run_ber_point expects the surface variant; "
-                          "use run_classical_point for the baseline")
-    return _run_point(config, user, snr_db, rule, seed, stream_key, block_size,
-                      workers)
+    return _run_point("run_ber_point", STAR_VARIANT, config, snr_db, user, rule, seed,
+                      stream_key, block_size, workers)
 
 
 def run_classical_point(config: ScenarioConfig, snr_db: float, user: int,
@@ -358,10 +360,8 @@ def run_classical_point(config: ScenarioConfig, snr_db: float, user: int,
                         block_size: int = DEFAULT_BLOCK_SIZE,
                         workers: int = 1) -> BerEstimate:
     """Same trial loop with a single flat-fading BS-user coefficient."""
-    if config.variant != CLASSICAL_VARIANT:
-        raise ConfigError("run_classical_point expects the classical variant")
-    return _run_point(config, user, snr_db, rule, seed, stream_key, block_size,
-                      workers)
+    return _run_point("run_classical_point", CLASSICAL_VARIANT, config, snr_db, user,
+                      rule, seed, stream_key, block_size, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +472,15 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     if axis == SNR_AXIS:
         for i, v in enumerate(vals):
             snr_from_db(f"sweep.values[{i}]", v)
-    if not vals:
-        raise ConfigError("sweep.values must be nonempty")
+    nonempty("sweep.values", vals)
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("sweep.values must be strictly increasing")
     if axis != SNR_AXIS:
         if snr_db is None:
             raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
         snr_from_db("sweep.snr_db", snr_db)
-    user_list = tuple(count(f"sweep.users[{i}]", u) for i, u in enumerate(users))
-    if not user_list:
-        raise ConfigError("sweep.users must be nonempty")
-    for u in user_list:
-        if u >= config.n_users:
-            raise ConfigError(f"sweep.users: user {u + 1} out of range "
-                              f"1..{config.n_users}")
+    user_list = user_indices("sweep.users", [count(f"sweep.users[{i}]", u)
+                                             for i, u in enumerate(users)], config.n_users)
     # Every point's config is built (and so checked) before any trial runs.
     point_configs = [_config_at(config, axis, value) for value in vals]
 

@@ -30,6 +30,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .noma import DETECTED, GENIE
+from .rules import nonempty
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
@@ -83,7 +84,7 @@ def fig2(element_counts: Sequence[int] = (25, 50, 75),
         FigureRun(f"star_n{n}",
                   _two_user_cross_zone(d_bs, d1, d2, 0.7, 0.3, int(n), GENIE),
                   SNR_AXIS, snrs, (0, 1))
-        for n in element_counts
+        for n in nonempty("fig2 element_counts", element_counts)
     ]
     classical = ScenarioConfig(
         variant=CLASSICAL_VARIANT,
@@ -108,11 +109,8 @@ def fig3(allocations: Sequence[Tuple[float, float]],
     The per-curve power splits and element counts are not fixed by the
     preset and must be supplied.
     """
-    if not allocations:
-        raise ConfigError("fig3 requires explicit allocations "
-                          "(pairs of power coefficients)")
-    if not element_counts:
-        raise ConfigError("fig3 requires explicit element counts")
+    nonempty("fig3 allocations", allocations)
+    nonempty("fig3 element_counts", element_counts)
     snrs = _snr_grid(snr_values, tuple(float(s) for s in range(0, 42, 2)))
     runs = []
     for a1, a2 in allocations:
@@ -132,12 +130,10 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
     Default power splits differ by 0.1; both users are swept over the same
     symmetric element grid.
     """
-    values = tuple(float(n) for n in (range(6, 62, 2) if element_values is None
-                                      else element_values))
-    if not values:
-        raise ConfigError("fig4 requires a nonempty element grid")
+    values = nonempty("fig4 element grid", tuple(
+        float(n) for n in (range(6, 62, 2) if element_values is None else element_values)))
     runs = []
-    for a1, a2 in allocations:
+    for a1, a2 in nonempty("fig4 allocations", allocations):
         cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, int(values[0]), GENIE)
         runs.append(FigureRun(f"a{int(round(a1 * 100)):02d}", cfg,
                               ELEMENTS_AXIS, values, (0, 1), snr_db=snr_db))

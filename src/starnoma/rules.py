@@ -77,6 +77,23 @@ def one_of(name: str, value, options: Tuple[str, ...]) -> str:
     return value
 
 
+def nonempty(name: str, values: Sequence) -> Sequence:
+    """A list with at least one entry: sweep values and users, preset grids."""
+    _require(len(values) > 0, name, "be nonempty", values)
+    return values
+
+
+def user_indices(name: str, indices: Sequence[int], n_users: int) -> Tuple[int, ...]:
+    """Zero-based user indices: at least one, each below ``n_users`` and none
+    repeated (a repeat would rerun the same cell); messages number users from 1."""
+    for i, u in enumerate(nonempty(name, indices)):
+        if not 0 <= u < n_users:
+            raise ConfigError(f"{name}: user {u + 1} out of range 1..{n_users}")
+        if u in indices[:i]:
+            raise ConfigError(f"{name}: user {u + 1} is repeated")
+    return tuple(indices)
+
+
 def power_coefficients(name: str, values: Sequence) -> Tuple[float, ...]:
     """Per-user power shares: finite, positive, non-increasing, summing to 1.
 

@@ -36,6 +36,9 @@ Two groups of reference models live here:
   ``starnoma.channel.sample_leakage_noise_batch``); the cascade sampler
   must reproduce ``sample_float32_cascade_batch``, its float32-uniform
   predecessor, bit for bit.
+* ``reference_block_errors``, the Monte Carlo block kernel written out
+  with the draws in their stream order and ``CASCADE_ROWS`` as a literal,
+  so the engine's kernel must keep its random streams, not just its law.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from starnoma.analytic import UserAnalyticParams
-from starnoma.channel import _CASCADE_ROWS
-from starnoma.engine import ScenarioConfig
+from starnoma.engine import CLASSICAL_VARIANT, ScenarioConfig
 from starnoma.errors import InvalidParameterError, NumericError
 from starnoma.noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from starnoma.rules import nonnegative
@@ -339,6 +341,11 @@ def sample_rayleigh_cascade_batch(bs_gain: float, user_gain: float, elements: in
     return (h * g).sum(axis=1)
 
 
+# Rows per chunk of the cascade draws.  The chunk fixes which generator
+# words pair into E1 * E2, so it is part of the random streams.
+CASCADE_ROWS = 2048
+
+
 def sample_float32_cascade_batch(bs_gain: float, user_gain: float, elements: int,
                                  size: int, rng: np.random.Generator) -> np.ndarray:
     """Aligned cascaded gains from ``Generator.random(dtype=float32)`` draws.
@@ -346,15 +353,15 @@ def sample_float32_cascade_batch(bs_gain: float, user_gain: float, elements: int
     The uniform route ``starnoma.channel.sample_cascade_batch`` replaces:
     the exponentials are ``-log(1 - U)`` of float32 uniforms (``1 - U`` lies
     in (0, 1], so the log is finite), products and roots are float32 and
-    every row is summed in float64, ``_CASCADE_ROWS`` rows at a time.  The
+    every row is summed in float64, ``CASCADE_ROWS`` rows at a time.  The
     package builds the same uniforms from raw generator words and must
     match this bit for bit.
     """
     if elements == 0:
         return np.zeros(size)
     out = np.empty(size)
-    for start in range(0, size, _CASCADE_ROWS):
-        stop = min(size, start + _CASCADE_ROWS)
+    for start in range(0, size, CASCADE_ROWS):
+        stop = min(size, start + CASCADE_ROWS)
         u = rng.random((2, stop - start, elements), dtype=np.float32)
         np.subtract(1.0, u, out=u)
         log_u = np.log(u, out=u)                              # -E1, -E2
@@ -381,6 +388,33 @@ def sample_interference_batch(bs_gain: float, user_gain: float, elements: int,
     g = scale * (rng.standard_normal((size, elements))
                  + 1j * rng.standard_normal((size, elements)))
     return (h * g).sum(axis=1)
+
+
+def reference_block_errors(config: ScenarioConfig, user: int, snr: float,
+                           rng: np.random.Generator, m: int) -> int:
+    """Own-bit errors of ``user`` in ``m`` trials, drawn as the engine's block
+    kernel draws them: gain (Rayleigh single hop, or the cascade), then
+    every user's bits, then the same-zone leakage variance (gamma), then one
+    normal per trial for leakage and noise together.  Cancellation uses the
+    true bits (genie) or the sign of the residual (detected)."""
+    amplitudes = np.array(config.power_allocation().amplitudes())
+    bs_gain, user_gain = config.bs_gain(), config.user_gain(user)
+    own = config.users[user].elements
+    if config.variant == CLASSICAL_VARIANT:
+        gain = rng.rayleigh(math.sqrt(config.classical_gain(user) / 2.0), m)
+        co_zone = 0
+    else:
+        gain = sample_float32_cascade_batch(bs_gain, user_gain, own, m, rng)
+        co_zone = config.zone_elements(user) - own
+    bits = rng.integers(0, 2, (m, config.n_users)) * 2 - 1
+    variance = np.full(m, config.transmit_power / snr / 2.0)
+    if co_zone:
+        variance += 0.5 * user_gain * rng.gamma(co_zone, bs_gain, m)
+    r = gain * (bits @ amplitudes) + np.sqrt(variance) * rng.standard_normal(m)
+    for j in range(user):
+        sub = bits[:, j] if config.sic_mode == GENIE else np.where(r >= 0.0, 1, -1)
+        r = r - amplitudes[j] * gain * sub
+    return int(np.count_nonzero(np.where(r >= 0.0, 1, -1) != bits[:, user]))
 
 
 # ---------------------------------------------------------------------------

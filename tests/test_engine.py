@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import starnoma.analytic as analytic
 from oracles import (align_all, cascaded_gain, interference_coefficient,
-                     sample_realization, sic_receive)
+                     reference_block_errors, sample_realization, sic_receive)
 from starnoma import presets
 from starnoma.engine import (
     CLASSICAL_VARIANT,
@@ -23,6 +25,8 @@ from starnoma.engine import (
     run_ber_point,
     run_classical_point,
     run_sweep,
+    _block_errors,
+    _block_rng,
     wilson_interval,
 )
 from starnoma.errors import ConfigError, InvalidParameterError
@@ -127,6 +131,46 @@ class TestWilson:
             wilson_interval(7, 5)
 
 
+# The configs whose block kernel is checked draw for draw.
+KERNEL_CONFIGS = {
+    **{f"fig2_n{n}": presets.fig2(element_counts=[n]).runs[0].config for n in (1, 8, 50)},
+    "classical": presets.fig2(element_counts=[1]).runs[-1].config,
+    "fig5_25_25_50": presets.fig5((25, 25, 50)).runs[0].config,
+}
+
+
+class TestStoppingRule:
+    """``StoppingRule.reason`` on its own: which criterion a count meets."""
+
+    def test_max_trials(self):
+        rule = StoppingRule(min_errors=10, max_trials=100)
+        assert rule.reason(0, 100) == STOP_MAX_TRIALS
+        assert rule.reason(5, 99) is None
+
+    def test_max_trials_wins_over_min_errors(self):
+        rule = StoppingRule(min_errors=10, max_trials=100)
+        assert rule.reason(50, 100) == STOP_MAX_TRIALS
+        rule = StoppingRule(min_errors=10, max_trials=100, target_ci_width=10.0)
+        assert rule.reason(50, 100) == STOP_MAX_TRIALS
+
+    def test_min_errors(self):
+        rule = StoppingRule(min_errors=10, max_trials=100)
+        assert rule.reason(10, 50) == STOP_MIN_ERRORS
+        assert rule.reason(9, 50) is None
+
+    def test_ci_width_either_side_of_its_boundary(self):
+        # At 10**6 trials a 95% Wilson interval is 0.20025 of the estimate
+        # wide with 384 errors and 0.19999 with 385.
+        rule = StoppingRule(min_errors=1, max_trials=10**7, target_ci_width=0.2)
+        assert rule.reason(384, 10**6) is None
+        assert rule.reason(385, 10**6) == STOP_CI_WIDTH
+
+    def test_ci_width_waits_for_min_errors(self):
+        rule = StoppingRule(min_errors=1000, max_trials=10**7, target_ci_width=0.2)
+        assert rule.reason(385, 10**6) is None
+        assert rule.reason(1000, 10**6) == STOP_CI_WIDTH
+
+
 class TestDeterminism:
     def test_bit_identical_across_worker_counts(self):
         cfg = star_config(same_zone=True)
@@ -195,6 +239,49 @@ class TestDeterminism:
         a = run_ber_point(cfg, 10.0, 1, rule, seed=1, stream_key=(0,))
         b = run_ber_point(cfg, 10.0, 1, rule, seed=1, stream_key=(1,))
         assert a.errors != b.errors
+
+    @pytest.mark.parametrize("seed, stream_key, block, words", [
+        (0, (), 0, (0xf1645affcd5f76ee, 0x50fb78bc01675596, 0xb8eb71a2c24c942d)),
+        (7, (0, 1), 0, (0x9238b23fea81c29a, 0xa37d60c0969542f1, 0x0d46190f62476dbf)),
+        (31, (3, 2), 5, (0x1848b2d0e5091db0, 0x1cc185a8efec9ca4, 0xe83485f20ebf5458)),
+    ])
+    def test_block_generator_words_are_pinned(self, seed, stream_key, block, words):
+        # SeedSequence(seed, spawn_key=(*stream_key, block)) into PCG64; numpy
+        # keeps both streams fixed across versions.
+        raw = _block_rng(seed, stream_key, block).bit_generator.random_raw(3)
+        assert tuple(int(w) for w in raw) == words
+
+    @pytest.mark.parametrize("sic_mode", [GENIE, DETECTED])
+    @pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
+    def test_block_kernel_keeps_its_random_streams(self, name, sic_mode):
+        # Same error count and same generator end state as the reference
+        # kernel, for one trial, a chunk and a row past it, and a full block.
+        cfg = replace(KERNEL_CONFIGS[name], sic_mode=sic_mode)
+        snr = 10 ** (20.0 / 10)
+        for user in range(cfg.n_users):
+            for m in (1, 2049, 65536):
+                got, want = _block_rng(3, (user, m), 0), _block_rng(3, (user, m), 0)
+                assert (_block_errors(cfg, user, snr, got, m)
+                        == reference_block_errors(cfg, user, snr, want, m)), (user, m)
+                assert got.bit_generator.state == want.bit_generator.state, (user, m)
+
+    def test_pool_holds_at_most_the_cpu_count_of_threads(self, monkeypatch):
+        # A wave is ``workers`` blocks long, but only the CPU count of them
+        # may run (and hold their arrays) at once.
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        rule = StoppingRule(min_errors=10**9, max_trials=64 * 256)
+        est = run_ber_point(star_config(), 10.0, 0, rule, seed=3, block_size=256,
+                            workers=10**6)
+        assert len(sizes) == 1 and sizes[0] <= (os.cpu_count() or 1)
+        assert est.blocks == 64
+        assert est == run_ber_point(star_config(), 10.0, 0, rule, seed=3, block_size=256)
 
 
 class TestPointEstimates:

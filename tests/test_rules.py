@@ -231,6 +231,12 @@ class TestConstructorsRefuseNonFinite:
             run_sweep(star_config(), "snr_db", [0.0], [2])
         assert blocks == []
 
+    def test_sweep_user_repeated(self, blocks):
+        # Both cells would draw stream (0, 1) and report the same estimate twice.
+        with pytest.raises(ConfigError, match=r"sweep\.users: user 2 is repeated"):
+            run_sweep(star_config(), "snr_db", [0.0], [1, 0, 1])
+        assert blocks == []
+
     @pytest.mark.parametrize("runner, variant", [(run_ber_point, STAR_VARIANT),
                                                  (run_classical_point, CLASSICAL_VARIANT)])
     @pytest.mark.parametrize("user", [-1, 2])
@@ -326,6 +332,16 @@ class TestCommandLineDefects:
                           capsys)
         assert rc == 1 and named in err and blocks == []
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--users", "2,2"], "--users: user 2 is repeated"),
+        ([], "sweep.users: user 1 is repeated"),
+    ])
+    def test_repeated_user_is_refused(self, tmp_path, capsys, argv, named, blocks):
+        path = write_config(tmp_path / "c.json", with_field("sweep", "users", [1, 2, 1]))
+        rc, err = run_cli(["sweep", "--config", path, *argv,
+                           "--out", str(tmp_path / "o.csv"), *FAST], capsys)
+        assert rc == 1 and named in err and blocks == []
 
     def test_absent_user_list_means_every_user(self, tmp_path, capsys):
         doc = json.loads(json.dumps(CONFIG))
@@ -495,6 +511,19 @@ def test_empty_list_option(figure, option, needs, tmp_path, capsys, blocks):
     argv = ["figure", figure, option, ",", *needs, "--out", str(tmp_path / "out")]
     rc, err = run_cli(argv + FAST, capsys)
     assert rc == 1 and f"{option} must be nonempty" in err and blocks == []
+
+
+@pytest.mark.parametrize("preset, kwargs, named", [
+    (presets.fig2, {"element_counts": []}, "fig2 element_counts"),
+    (presets.fig3, {"allocations": [], "element_counts": [4]}, "fig3 allocations"),
+    (presets.fig3, {"allocations": [(0.7, 0.3)], "element_counts": []},
+     "fig3 element_counts"),
+    (presets.fig4, {"allocations": []}, "fig4 allocations"),
+])
+def test_empty_preset_arguments(preset, kwargs, named):
+    # An empty list would silently drop every curve it spans.
+    with pytest.raises(ConfigError, match=f"{named} must be nonempty"):
+        preset(**kwargs)
 
 
 def test_empty_preset_grids():
