@@ -18,7 +18,12 @@ and :class:`UserSpec`, whose rules check and convert each value: numeric
 fields must be JSON numbers, not ``true``/``false`` or quoted numbers.
 Users are numbered from 1 in configs, options and outputs; indices are
 zero-based inside the package.  An absent list option means its default
-(every user, a preset's grid); an empty one is an error.  Exit codes: 0
+(every user, a preset's grid); an empty one is an error.  ``figure``
+takes the options its preset has parameters for: fig2 and fig5
+``--elements`` and ``--snr-values``, fig3 those and ``--allocations``, fig4
+``--elements``, ``--allocations`` and ``--fixed-snr-db``.  fig3 needs
+``--allocations`` and ``--elements``, fig5 ``--elements``, and any other
+option is an error.  Exit codes: 0
 success, 1 validation failure (including NaN or infinite input), 2
 runtime/numeric failure.
 Outputs are written to a temporary file and renamed into place, so a
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -49,7 +55,7 @@ from .engine import (
     run_sweep,
 )
 from .errors import ConfigError, StarNomaError
-from .rules import count, power_coefficients, snr_from_db, user_indices
+from .rules import count, nonempty, power_coefficients, snr_from_db, user_indices
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
@@ -339,40 +345,40 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _each(rule):
+    """The check of a list option: nonempty, and ``rule`` on each item."""
+    return lambda option, values: [rule(f"{option}[{i}]", v)
+                                   for i, v in enumerate(nonempty(option, values))]
+
+
+# (option, args attribute, preset parameter, check naming the option); the
+# preset's signature says which options a figure takes, needs and defaults.
+_FIGURE_OPTIONS = (
+    ("--elements", "elements", "element_counts", _each(count)),
+    ("--snr-values", "snr_values", "snr_values", _each(snr_from_db)),
+    ("--allocations", "allocations", "allocations",
+     _each(lambda name, pair: power_coefficients(name + "[{}]", pair))),
+    ("--fixed-snr-db", "fixed_snr_db", "snr_db", snr_from_db),
+)
+
+
 def _figure_plan(args) -> presets.FigurePlan:
-    name = args.name
-    for option, given in (("--snr-values", args.snr_values),
-                          ("--elements", args.elements),
-                          ("--allocations", args.allocations)):
-        if given == []:
-            raise ConfigError(f"{option} must be nonempty")
-    snr_values = args.snr_values
-    for i, v in enumerate(snr_values or ()):
-        snr_from_db(f"--snr-values[{i}]", v)
-    allocations = [power_coefficients(f"--allocations[{j}][{{}}]", pair)
-                   for j, pair in enumerate(args.allocations or ())]
-    if name == "fig2":
-        counts = args.elements or [25, 50, 75]
-        return presets.fig2(element_counts=counts, snr_values=snr_values)
-    if name == "fig3":
-        missing = []
-        if not allocations:
-            missing.append("--allocations (power splits per curve)")
-        if not args.elements:
-            missing.append("--elements (subsurface sizes per curve)")
-        if missing:
-            raise ConfigError(
-                "fig3 leaves these parameters open; pass " + " and ".join(missing))
-        return presets.fig3(allocations, args.elements, snr_values)
-    if name == "fig4":
-        snr_from_db("--fixed-snr-db", args.fixed_snr_db)
-        return presets.fig4(allocations or [(0.7, 0.3), (0.8, 0.2)], args.elements,
-                            snr_db=args.fixed_snr_db)
-    # fig5, the last of the choices argparse allows.
-    if not args.elements:
-        raise ConfigError("fig5 leaves the per-user element split open; "
-                          "pass --elements N1,N2,N3")
-    return presets.fig5(args.elements, snr_values)
+    preset = getattr(presets, args.name)
+    params = inspect.signature(preset).parameters
+    given, missing = {}, []
+    for option, attr, param, check in _FIGURE_OPTIONS:
+        value = getattr(args, attr)
+        if value is not None:
+            if param not in params:
+                raise ConfigError(f"{args.name} takes no {option}")
+            check(option, value)
+            given[param] = value
+        elif param in params and params[param].default is params[param].empty:
+            missing.append(option)
+    if missing:
+        raise ConfigError(f"{args.name} leaves these parameters open; pass "
+                          + " and ".join(missing))
+    return preset(**given)
 
 
 def cmd_figure(args) -> int:
@@ -406,8 +412,8 @@ def cmd_figure(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-errors", type=int, default=200)
-    parser.add_argument("--max-trials", type=int, default=10**9)
+    parser.add_argument("--min-errors", type=int, default=StoppingRule.min_errors)
+    parser.add_argument("--max-trials", type=int, default=StoppingRule.max_trials)
     parser.add_argument("--workers", type=int, default=1, help="blocks per wave")
 
 
@@ -444,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-values", type=_comma_list(float), default=None)
     p.add_argument("--elements", type=_comma_list(int), default=None)
     p.add_argument("--allocations", type=_comma_list(_power_pair), default=None)
-    p.add_argument("--fixed-snr-db", type=float, default=40.0,
+    p.add_argument("--fixed-snr-db", type=float, default=None,
                    help="operating SNR for element sweeps (fig4)")
     _add_common(p)
     p.set_defaults(func=cmd_figure)

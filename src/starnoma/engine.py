@@ -398,16 +398,15 @@ def _config_at(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfi
         n = count("sweep.values", value)
         users = tuple(replace(u, elements=n) for u in config.users)
         return replace(config, users=users)
-    if axis == POWER_AXIS:
-        if config.n_users != 2:
-            raise ConfigError("sweep.axis=power supports exactly two users")
-        if not 0.5 <= value < 1.0:
-            raise ConfigError(f"sweep.values: the stronger-power coefficient must "
-                              f"lie in [0.5, 1), got {value}")
-        users = (replace(config.users[0], power_coefficient=value),
-                 replace(config.users[1], power_coefficient=1.0 - value))
-        return replace(config, users=users)
-    raise ConfigError(f"sweep.axis must be one of {AXES}, got {axis!r}")
+    # The power axis, the last of AXES: run_sweep has checked the axis.
+    if config.n_users != 2:
+        raise ConfigError("sweep.axis=power supports exactly two users")
+    if not 0.5 <= value < 1.0:
+        raise ConfigError(f"sweep.values: the stronger-power coefficient must "
+                          f"lie in [0.5, 1), got {value}")
+    users = (replace(config.users[0], power_coefficient=value),
+             replace(config.users[1], power_coefficient=1.0 - value))
+    return replace(config, users=users)
 
 
 def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
@@ -465,7 +464,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     """One BER estimate per (axis value, user) plus aligned analytic series.
 
     ``snr_db`` is the fixed operating point for element-count and power
-    sweeps and is ignored for SNR sweeps.
+    sweeps; it is checked whenever given and unused on SNR sweeps.
     """
     one_of("sweep.axis", axis, AXES)
     vals = tuple(number(f"sweep.values[{i}]", v) for i, v in enumerate(values))
@@ -475,10 +474,10 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     nonempty("sweep.values", vals)
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("sweep.values must be strictly increasing")
-    if axis != SNR_AXIS:
-        if snr_db is None:
-            raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
+    if snr_db is not None:
         snr_from_db("sweep.snr_db", snr_db)
+    elif axis != SNR_AXIS:
+        raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
     user_list = user_indices("sweep.users", [count(f"sweep.users[{i}]", u)
                                              for i, u in enumerate(users)], config.n_users)
     # Every point's config is built (and so checked) before any trial runs.

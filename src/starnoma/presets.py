@@ -1,9 +1,9 @@
 """Figure-reproduction presets.
 
-Each preset assembles the sweep runs behind one results figure.  Values
-the source material leaves open are either exposed as required arguments
-(fig3 allocations/elements, fig5 elements) or defaulted here with the
-choice documented:
+Each preset assembles the sweep runs behind one results figure, and its
+signature is the ``figure`` command's schema.  Values the source material
+leaves open are either required arguments (fig3 allocations and element
+counts, fig5 element counts) or defaulted here with the choice documented:
 
 * fig2 classical-baseline distances default to the geometric mean of the
   two hop distances, sqrt(d_bs * d_user); this reproduces the reported
@@ -53,11 +53,6 @@ class FigurePlan:
     runs: Tuple[FigureRun, ...]
 
 
-def _snr_grid(values: Optional[Sequence[float]], default: Tuple[float, ...]
-              ) -> Tuple[float, ...]:
-    return default if values is None else tuple(float(v) for v in values)
-
-
 def _two_user_cross_zone(d_bs: float, d1: float, d2: float, a1: float, a2: float,
                          n: int, sic_mode: str) -> ScenarioConfig:
     return ScenarioConfig(
@@ -72,13 +67,13 @@ def _two_user_cross_zone(d_bs: float, d1: float, d2: float, a1: float, a2: float
 
 
 def fig2(element_counts: Sequence[int] = (25, 50, 75),
-         snr_values: Optional[Sequence[float]] = None) -> FigurePlan:
+         snr_values: Sequence[float] = range(0, 42, 2)) -> FigurePlan:
     """Two cross-zone users at (50, 6, 4) m, powers (0.7, 0.3), perfect SIC.
 
     One surface run per element count plus one classical baseline with the
     geometric-mean equivalent distances.
     """
-    snrs = _snr_grid(snr_values, tuple(float(s) for s in range(0, 42, 2)))
+    snrs = tuple(float(s) for s in snr_values)
     d_bs, d1, d2 = 50.0, 6.0, 4.0
     runs = [
         FigureRun(f"star_n{n}",
@@ -103,7 +98,7 @@ def fig2(element_counts: Sequence[int] = (25, 50, 75),
 
 def fig3(allocations: Sequence[Tuple[float, float]],
          element_counts: Sequence[int],
-         snr_values: Optional[Sequence[float]] = None) -> FigurePlan:
+         snr_values: Sequence[float] = range(0, 42, 2)) -> FigurePlan:
     """Cancelling user's BER with perfect versus detected SIC.
 
     The per-curve power splits and element counts are not fixed by the
@@ -111,7 +106,7 @@ def fig3(allocations: Sequence[Tuple[float, float]],
     """
     nonempty("fig3 allocations", allocations)
     nonempty("fig3 element_counts", element_counts)
-    snrs = _snr_grid(snr_values, tuple(float(s) for s in range(0, 42, 2)))
+    snrs = tuple(float(s) for s in snr_values)
     runs = []
     for a1, a2 in allocations:
         for n in element_counts:
@@ -123,15 +118,14 @@ def fig3(allocations: Sequence[Tuple[float, float]],
 
 
 def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
-         element_values: Optional[Sequence[int]] = None,
+         element_counts: Sequence[int] = range(6, 62, 2),
          snr_db: float = 40.0) -> FigurePlan:
     """BER against subsurface size at a fixed operating SNR.
 
     Default power splits differ by 0.1; both users are swept over the same
     symmetric element grid.
     """
-    values = nonempty("fig4 element grid", tuple(
-        float(n) for n in (range(6, 62, 2) if element_values is None else element_values)))
+    values = nonempty("fig4 element grid", tuple(float(n) for n in element_counts))
     runs = []
     for a1, a2 in nonempty("fig4 allocations", allocations):
         cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, int(values[0]), GENIE)
@@ -141,7 +135,7 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
 
 
 def fig5(element_counts: Sequence[int],
-         snr_values: Optional[Sequence[float]] = None) -> FigurePlan:
+         snr_values: Sequence[float] = range(0, 52, 2)) -> FigurePlan:
     """Three users, two sharing the transmission part, at (20, 3, 2.5, 2) m.
 
     The per-user element split is not fixed by the preset and must be
@@ -150,7 +144,7 @@ def fig5(element_counts: Sequence[int],
     if len(element_counts) != 3:
         raise ConfigError("fig5 requires explicit element counts for all "
                           "three users (N1, N2, N3)")
-    snrs = _snr_grid(snr_values, tuple(float(s) for s in range(0, 52, 2)))
+    snrs = tuple(float(s) for s in snr_values)
     n1, n2, n3 = (int(n) for n in element_counts)
     cfg = ScenarioConfig(
         variant=STAR_VARIANT,

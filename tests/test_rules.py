@@ -430,7 +430,7 @@ def test_config_field_property(section, index, field, values, named, tmp_path,
     def check(value):
         doc = with_field(section, field, value, index)
         path = write_config(tmp_path / "c.json", doc)
-        # An elements sweep reads sweep.snr_db; the others ignore it.
+        # Every sweep checks a given sweep.snr_db; an elements sweep needs one.
         rc, err = run_cli(["sweep", "--config", path, "--axis", "elements",
                            "--values", "4,8", "--out", str(tmp_path / "o.csv"),
                            *FAST], capsys)
@@ -466,8 +466,8 @@ def _list(values):
     return ",".join(repr(v) for v in values)
 
 
-OPTION_COMMANDS = ("point", "sweep-snr", "sweep-values", "fig2-snr-values",
-                   "fig4-fixed-snr")
+OPTION_COMMANDS = ("point", "sweep-snr", "sweep-snr-axis", "sweep-values",
+                   "fig2-snr-values", "fig4-fixed-snr")
 
 
 def _option_case(command, bad, tmp_path):
@@ -480,6 +480,9 @@ def _option_case(command, bad, tmp_path):
         "sweep-snr": (["sweep", "--config", path, "--axis", "elements",
                        "--values", "4,8", f"--snr-db={bad!r}", "--out", out],
                       "sweep.snr_db"),
+        # An SNR sweep does not use --snr-db, but checks it when given.
+        "sweep-snr-axis": (["sweep", "--config", path, "--axis", "snr_db",
+                            f"--snr-db={bad!r}", "--out", out], "sweep.snr_db"),
         "sweep-values": (["sweep", "--config", path,
                           f"--values={_list([0.0, bad])}", "--out", out],
                          "sweep.values[1]"),
@@ -529,11 +532,37 @@ def test_empty_preset_arguments(preset, kwargs, named):
 def test_empty_preset_grids():
     # The presets read an empty grid as empty too: the sweep refuses it.
     with pytest.raises(ConfigError, match="element grid"):
-        presets.fig4(element_values=[])
+        presets.fig4(element_counts=[])
     run = presets.fig2(element_counts=[4], snr_values=[]).runs[0]
     with pytest.raises(ConfigError, match="sweep.values must be nonempty"):
         run_sweep(run.config, run.axis, run.values, run.users,
                   StoppingRule(min_errors=1, max_trials=1))
+
+
+@pytest.mark.parametrize("value", ["forty", math.nan])
+def test_config_snr_db_on_snr_sweep(value, tmp_path, capsys, blocks):
+    path = write_config(tmp_path / "c.json", with_field("sweep", "snr_db", value))
+    rc, err = run_cli(["sweep", "--config", path, "--out", str(tmp_path / "o.csv"),
+                       *FAST], capsys)
+    assert rc == 1 and "sweep.snr_db" in err and blocks == []
+
+
+# (figure, an option its preset has no parameter for, with its value, the
+# options the figure needs): refused by name, not silently ignored.
+UNTAKEN_OPTION_CASES = [
+    ("fig2", ["--allocations", "0.9:0.1"], []),
+    ("fig2", ["--fixed-snr-db", "nan"], []),
+    ("fig4", ["--snr-values", "0,10"], []),
+    ("fig5", ["--allocations", "0.7:0.3"], ["--elements", "4,4,8"]),
+]
+
+
+@pytest.mark.parametrize("figure,option,needs", UNTAKEN_OPTION_CASES,
+                         ids=[f"{c[0]}{c[1][0]}" for c in UNTAKEN_OPTION_CASES])
+def test_option_the_figure_does_not_take(figure, option, needs, tmp_path, capsys, blocks):
+    argv = ["figure", figure, *option, *needs, "--out", str(tmp_path / "out")]
+    rc, err = run_cli(argv + FAST, capsys)
+    assert rc == 1 and f"{figure} takes no {option[0]}" in err and blocks == []
 
 
 @PROPERTY
