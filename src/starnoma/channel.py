@@ -10,7 +10,8 @@ per-element reference model lives with the tests (``tests/oracles.py``).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Tuple
+import threading
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .rules import count, nonnegative, positive
 
@@ -30,6 +31,15 @@ _VAR_FACTOR = 1.0 - math.pi**2 / 16.0
 # words pair into E1 * E2); changing it changes the streams.
 _CASCADE_ROWS = 2048
 
+# A cascade term sqrt(E1 * E2) is a float32 below 24 ln 2 < 16.7 (each E is
+# at most -log 2**-24).  Every term of a row is a whole multiple of the
+# smallest term's ulp, which exceeds that term * 2**-24.  So when every term
+# of a row of n exceeds n * 16.7 * 2**-29, the row's sum is below 2**53 such
+# ulps: float64 holds every partial sum exactly, in any order of adding.
+_EXACT_TERM = 16.7 * 2.0**-29
+
+_scratch = threading.local()  # each thread's work arrays, made as it asks for them
+
 
 def path_gain(distance: float, exponent: float) -> float:
     """Power-law link gain ``distance**(-exponent)``.
@@ -40,9 +50,44 @@ def path_gain(distance: float, exponent: float) -> float:
     return positive("distance", distance) ** -nonnegative("exponent", exponent)
 
 
+def scratch(name: str, size: int, dtype: str = "float64") -> np.ndarray:
+    """The calling thread's work array ``name``: ``size`` values of a buffer
+    the thread keeps, grown to the largest size it has asked for.
+
+    A later call with the same name on the same thread returns the same
+    memory, so a caller must be done with the array before asking again.
+    """
+    import numpy as np
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_scratch, name, buf)
+    return buf[:size]
+
+
+def _row_sums(terms: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
+    """``terms.sum(axis=1, dtype=float64)`` into ``out``, bit for bit, for
+    float32 cascade terms; ``spare`` holds ``terms.size`` float64 values.
+
+    When float64 adds every row exactly (each term above ``_EXACT_TERM``
+    per element), one matrix-vector product sums them in whatever order
+    it takes, without the pairwise sum's per-row cost.  A zero draw or a
+    smaller term sends the chunk to the pairwise sum itself.
+    """
+    import numpy as np
+    if terms.min() > _EXACT_TERM * terms.shape[1]:
+        wide = spare.reshape(terms.shape)
+        np.copyto(wide, terms)
+        np.matmul(wide, np.ones(terms.shape[1]), out=out)
+    else:
+        terms.sum(axis=1, dtype=np.float64, out=out)
+
+
 def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
-                         size: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of aligned cascaded gains, one per realization.
+                         size: int, rng: np.random.Generator,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Batch of aligned cascaded gains, one per realization, written to
+    ``out`` (``size`` float64 values) when given, else to a new array.
 
     Law-equivalent to sampling a per-element realization, aligning the
     user's own subsurface and taking the magnitude of its response (the
@@ -60,13 +105,17 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
     (a fresh block generator) these are exactly the values and the end
     state of ``1 - rng.random(shape, dtype=float32)``, without that call's
     per-value overhead.  Rows are drawn ``_CASCADE_ROWS`` at a time into
-    one reused buffer, which bounds the memory per call whatever ``size`` is.
+    the thread's :func:`scratch` buffer, which bounds the memory per call
+    whatever ``size`` is; each chunk's raw words, once read, hold its
+    float64 terms for :func:`_row_sums`.
     """
     import numpy as np
+    if out is None:
+        out = np.empty(size)
     if elements == 0:
-        return np.zeros(size)
-    out = np.empty(size)
-    buf = np.empty(2 * min(size, _CASCADE_ROWS) * elements, dtype=np.float32)
+        out.fill(0.0)
+        return out
+    buf = scratch("cascade", 2 * min(size, _CASCADE_ROWS) * elements, "float32")
     for start in range(0, size, _CASCADE_ROWS):
         stop = min(size, start + _CASCADE_ROWS)
         shape = (2, stop - start, elements)
@@ -80,14 +129,18 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
         log_u = np.log(u, out=u)                              # -E1, -E2
         root = np.multiply(log_u[0], log_u[1], out=log_u[0])  # E1 * E2
         np.sqrt(root, out=root)
-        out[start:stop] = root.sum(axis=1, dtype=np.float64)
-    return math.sqrt(bs_gain * user_gain) * out
+        _row_sums(root, raw.view(np.float64), out[start:stop])
+    out *= math.sqrt(bs_gain * user_gain)
+    return out
 
 
 def sample_leakage_noise_batch(bs_gain: float, user_gain: float, elements: int,
                                noise_var: float, size: int,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Real part of the same-zone leakage plus receiver noise, one per trial.
+                               rng: np.random.Generator,
+                               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Real part of the same-zone leakage plus receiver noise, one per trial,
+    written to ``out`` (``size`` float64 values) when given, else to a new
+    array.
 
     Each of the ``elements`` leaking elements contributes its BS amplitude
     ``R_i`` (Rayleigh, ``E[R_i^2] = bs_gain``) times the real part of a
@@ -97,13 +150,23 @@ def sample_leakage_noise_batch(bs_gain: float, user_gain: float, elements: int,
     with variance ``(user_gain / 2) * sum R_i^2``, and
     ``sum R_i^2 ~ Gamma(elements, scale=bs_gain)``.  So one gamma draw sets
     each trial's realised leakage variance, and one normal draw carries the
-    leakage and the noise of variance ``noise_var`` together.
+    leakage and the noise of variance ``noise_var`` together.  The gamma
+    is drawn as ``bs_gain * standard_gamma(elements)``, which is how the
+    generator's ``gamma`` forms each value.
     """
     import numpy as np
-    variance = np.full(size, noise_var, dtype=float)
+    variance = np.empty(size) if out is None else out
     if elements:
-        variance += 0.5 * user_gain * rng.gamma(elements, bs_gain, size)
-    return np.sqrt(variance, out=variance) * rng.standard_normal(size)
+        rng.standard_gamma(elements, out=variance)
+        variance *= bs_gain
+        variance *= 0.5 * user_gain
+        variance += noise_var
+    else:
+        variance.fill(noise_var)
+    noise = rng.standard_normal(out=scratch("noise", size))
+    np.sqrt(variance, out=variance)
+    variance *= noise
+    return variance
 
 
 def clt_moments(overall_gain: float, elements: int) -> Tuple[float, float]:

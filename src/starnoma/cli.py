@@ -23,7 +23,9 @@ takes the options its preset has parameters for: fig2 and fig5
 ``--elements`` and ``--snr-values``, fig3 those and ``--allocations``, fig4
 ``--elements``, ``--allocations`` and ``--fixed-snr-db``.  fig3 needs
 ``--allocations`` and ``--elements``, fig5 ``--elements``, and any other
-option is an error.  Exit codes: 0
+option is an error.  A value the preset refuses (an SNR or element grid
+that does not increase, fig5 counts that are not three) is reported
+under the option that gave it.  Exit codes: 0
 success, 1 validation failure (including NaN or infinite input), 2
 runtime/numeric failure.
 Outputs are written to a temporary file and renamed into place, so a
@@ -378,7 +380,15 @@ def _figure_plan(args) -> presets.FigurePlan:
     if missing:
         raise ConfigError(f"{args.name} leaves these parameters open; pass "
                           + " and ".join(missing))
-    return preset(**given)
+    try:
+        return preset(**given)
+    except ConfigError as exc:
+        # A preset names a bad argument "<figure> <parameter>"; name its option.
+        for option, _, param, _ in _FIGURE_OPTIONS:
+            prefix = f"{args.name} {param} "
+            if str(exc).startswith(prefix):
+                raise ConfigError(option + " " + str(exc)[len(prefix):]) from None
+        raise
 
 
 def cmd_figure(args) -> int:

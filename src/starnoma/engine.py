@@ -20,12 +20,21 @@ that no more than ``max_trials`` trials run.  Block ``b`` draws from its
 own PCG64 generator, seeded by ``SeedSequence(seed, spawn_key=(*stream_key,
 b))``; blocks merge in index order, and stopping rules fire at block
 boundaries, so results are bit-identical for any worker count.
+
+A point submits its blocks in waves of ``workers`` to one thread pool per
+process, with one thread per CPU, made at the first point (and again in
+a forked child, which has none of its parent's threads).  A point
+returns, or raises a block's error, only when every block it started has
+finished.  Each thread keeps its block arrays (:func:`channel.scratch`)
+at the size of the largest block it has run, so the memory of one
+block is reused by the next instead of going back to the system.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -37,11 +46,12 @@ from .channel import (
     path_gain,
     sample_cascade_batch,
     sample_leakage_noise_batch,
+    scratch,
 )
 from .errors import ConfigError, InvalidParameterError, NoErrorFloor
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
-from .rules import (count, nonempty, nonnegative, number, one_of, positive,
-                    power_coefficients, snr_from_db, user_indices)
+from .rules import (count, increasing, nonempty, nonnegative, number, one_of,
+                    positive, power_coefficients, snr_from_db, user_indices)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -264,7 +274,11 @@ class BerEstimate:
 
 def _block_errors(config: ScenarioConfig, user: int, snr: float,
                   rng: np.random.Generator, m: int) -> int:
-    """Simulate ``m`` trials of ``user``; return the observed own-bit error count."""
+    """Simulate ``m`` trials of ``user``; return the observed own-bit error count.
+
+    The arrays are the thread's :func:`scratch` buffers; each value is
+    formed as in ``tests/oracles.py::reference_block_errors``, bit for bit.
+    """
     import numpy as np
     amplitudes = np.array(config.power_allocation().amplitudes())  # sqrt(a_j P)
     sigma2 = config.transmit_power / snr
@@ -273,23 +287,38 @@ def _block_errors(config: ScenarioConfig, user: int, snr: float,
 
     if config.variant == CLASSICAL_VARIANT:
         # One flat-fading BS-user coefficient; no surface, so no leakage.
-        gain = rng.rayleigh(math.sqrt(config.classical_gain(user) / 2.0), m)
+        # A Rayleigh draw is mode * sqrt(2 * standard exponential) in numpy.
+        gain = rng.standard_exponential(out=scratch("gain", m))
+        gain *= 2.0
+        np.sqrt(gain, out=gain)
+        gain *= math.sqrt(config.classical_gain(user) / 2.0)
         co_zone = 0
     else:
-        gain = sample_cascade_batch(bs_gain, user_gain, own, m, rng)
+        gain = sample_cascade_batch(bs_gain, user_gain, own, m, rng,
+                                    out=scratch("gain", m))
         co_zone = config.zone_elements(user) - own
 
-    bits = rng.integers(0, 2, (m, config.n_users)) * 2 - 1
+    bits = rng.integers(0, 2, (m, config.n_users))
+    signs = scratch("signs", bits.size).reshape(bits.shape)
+    np.multiply(bits, 2.0, out=signs)
+    signs -= 1.0
     # Same-zone leakage and noise reach decisions through the real part only.
-    r = gain * (bits @ amplitudes) + sample_leakage_noise_batch(
-        bs_gain, user_gain, co_zone, sigma2 / 2.0, m, rng)
+    leak = sample_leakage_noise_batch(bs_gain, user_gain, co_zone, sigma2 / 2.0, m,
+                                      rng, out=scratch("leak", m))
+    r = np.matmul(signs, amplitudes, out=scratch("r", m))
+    r *= gain
+    r += leak
 
-    genie = config.sic_mode == GENIE
+    term, mask = scratch("term", m), scratch("mask", m, "bool")
     for j in range(user):
-        sub = bits[:, j] if genie else np.where(r >= 0.0, 1, -1)
-        r = r - amplitudes[j] * gain * sub
-    decision = np.where(r >= 0.0, 1, -1)
-    return int(np.count_nonzero(decision != bits[:, user]))
+        np.multiply(gain, amplitudes[j], out=term)  # a_j |h|, then its sign
+        if config.sic_mode == GENIE:
+            term *= signs[:, j]
+        else:  # the detected bit: r >= 0 (-0.0 included) decides +1
+            np.negative(term, out=term, where=np.less(r, 0.0, out=mask))
+        r -= term
+    np.greater_equal(r, 0.0, out=mask)
+    return int(np.count_nonzero(np.not_equal(mask, bits[:, user], out=mask)))
 
 
 def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.Generator:
@@ -298,11 +327,26 @@ def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.
     return np.random.Generator(np.random.PCG64(ss))
 
 
+_pool = None  # (pid, executor): the process's block pool, made with the first point
+_pool_lock = threading.Lock()
+
+
+def _block_pool():
+    """The process's block pool, one thread per CPU; a forked child, which
+    has none of its parent's threads, makes its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor  # loaded with the first point
+            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=os.cpu_count() or 1))
+        return _pool[1]
+
+
 def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
                user: int, rule: StoppingRule, seed: int, stream_key: Tuple[int, ...],
                block_size: int, workers: int) -> BerEstimate:
     """The Monte Carlo point of the public ``runner``, which takes ``variant`` only."""
-    from concurrent.futures import ThreadPoolExecutor  # loaded with the first point
+    from concurrent.futures import wait
 
     if config.variant != variant:
         hint = "; use run_classical_point for the baseline" if variant == STAR_VARIANT else ""
@@ -325,20 +369,28 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
         return _block_errors(config, user, snr, _block_rng(seed, stream_key, b),
                              block_trials(b))
 
+    pool = _block_pool()
     errors = trials = blocks = 0
     reason = None  # until a criterion fires
     # Waves are ``workers`` blocks long; at most the CPU count of them run at once.
-    with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
-        while reason is None:
+    while reason is None:
+        wave = [pool.submit(run_block, b)
+                for b in range(blocks, min(blocks + n_workers, n_blocks))]
+        try:
             # Merge strictly in index order; once a stopping rule fires,
             # the wave's later (speculative) blocks are discarded.
-            wave = range(blocks, min(blocks + n_workers, n_blocks))
-            for res in pool.map(run_block, wave):
-                errors += res
+            for future in wave:
+                errors += future.result()
                 trials += block_trials(blocks)
                 blocks += 1
                 if (reason := rule.reason(errors, trials)) is not None:
                     break
+        finally:
+            # No block outlives its point: unstarted ones are dropped and
+            # running ones finish before the point returns or raises.
+            for future in wave:
+                future.cancel()
+            wait(wave)
 
     return BerEstimate.from_counts(errors, trials, seed, stream_key,
                                    block_size, blocks, reason)
@@ -471,9 +523,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     if axis == SNR_AXIS:
         for i, v in enumerate(vals):
             snr_from_db(f"sweep.values[{i}]", v)
-    nonempty("sweep.values", vals)
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("sweep.values must be strictly increasing")
+    increasing("sweep.values", nonempty("sweep.values", vals))
     if snr_db is not None:
         snr_from_db("sweep.snr_db", snr_db)
     elif axis != SNR_AXIS:

@@ -12,6 +12,10 @@ counts, fig5 element counts) or defaulted here with the choice documented:
 * fig4 defaults to user distances (8, 4) m at 40 dB, which reproduces the
   reported 13-element / 3-element crossing shifts for a 0.1 power-share
   increment.
+
+The grid and count checks name a refused argument ``"<figure> <parameter>"``
+at the start of the error message, which the command line turns into the
+name of the option that gave it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .noma import DETECTED, GENIE
-from .rules import nonempty
+from .rules import increasing, nonempty
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
@@ -73,7 +77,7 @@ def fig2(element_counts: Sequence[int] = (25, 50, 75),
     One surface run per element count plus one classical baseline with the
     geometric-mean equivalent distances.
     """
-    snrs = tuple(float(s) for s in snr_values)
+    snrs = increasing("fig2 snr_values", tuple(float(s) for s in snr_values))
     d_bs, d1, d2 = 50.0, 6.0, 4.0
     runs = [
         FigureRun(f"star_n{n}",
@@ -106,7 +110,7 @@ def fig3(allocations: Sequence[Tuple[float, float]],
     """
     nonempty("fig3 allocations", allocations)
     nonempty("fig3 element_counts", element_counts)
-    snrs = tuple(float(s) for s in snr_values)
+    snrs = increasing("fig3 snr_values", tuple(float(s) for s in snr_values))
     runs = []
     for a1, a2 in allocations:
         for n in element_counts:
@@ -125,7 +129,8 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
     Default power splits differ by 0.1; both users are swept over the same
     symmetric element grid.
     """
-    values = nonempty("fig4 element grid", tuple(float(n) for n in element_counts))
+    values = increasing("fig4 element_counts", nonempty(
+        "fig4 element grid", tuple(float(n) for n in element_counts)))
     runs = []
     for a1, a2 in nonempty("fig4 allocations", allocations):
         cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, int(values[0]), GENIE)
@@ -142,9 +147,9 @@ def fig5(element_counts: Sequence[int],
     supplied as three counts.
     """
     if len(element_counts) != 3:
-        raise ConfigError("fig5 requires explicit element counts for all "
-                          "three users (N1, N2, N3)")
-    snrs = tuple(float(s) for s in snr_values)
+        raise ConfigError("fig5 element_counts must be three counts, one per user "
+                          f"(N1, N2, N3), got {list(element_counts)!r}")
+    snrs = increasing("fig5 snr_values", tuple(float(s) for s in snr_values))
     n1, n2, n3 = (int(n) for n in element_counts)
     cfg = ScenarioConfig(
         variant=STAR_VARIANT,

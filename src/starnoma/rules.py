@@ -83,6 +83,13 @@ def nonempty(name: str, values: Sequence) -> Sequence:
     return values
 
 
+def increasing(name: str, values: Sequence) -> Sequence:
+    """Each value above the one before: the grid a curve is drawn over."""
+    _require(all(a < b for a, b in zip(values, values[1:])), name,
+             "be strictly increasing", values)
+    return values
+
+
 def user_indices(name: str, indices: Sequence[int], n_users: int) -> Tuple[int, ...]:
     """Zero-based user indices: at least one, each below ``n_users`` and none
     repeated (a repeat would rerun the same cell); messages number users from 1."""

@@ -18,6 +18,7 @@ from oracles import (
     sample_realization,
     subsurface_response,
 )
+from starnoma import channel
 from starnoma.channel import (
     clt_moments,
     path_gain,
@@ -333,3 +334,47 @@ class TestBatchCascade:
         assert np.array_equal(new_rng.random(3, dtype=np.float32),
                               old_rng.random(3, dtype=np.float32))
         assert np.array_equal(new_rng.gamma(3.0, 1.0, 3), old_rng.gamma(3.0, 1.0, 3))
+
+
+class TestOutArrays:
+    """The samplers write into a caller's array when given one."""
+
+    @pytest.mark.parametrize("elements, size", [(0, 7), (1, 1), (25, 2049), (50, 5000)])
+    def test_cascade_out_gives_the_same_values(self, elements, size):
+        want = sample_cascade_batch(4e-4, 1 / 36.0, elements, size, rng(5))
+        out = np.full(size, np.nan)
+        got = sample_cascade_batch(4e-4, 1 / 36.0, elements, size, rng(5), out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("elements, noise_var", [(0, 0.3), (25, 0.0), (25, 1e-4)])
+    def test_leakage_out_gives_the_same_values(self, elements, noise_var):
+        want = sample_leakage_noise_batch(4e-4, 1 / 9.0, elements, noise_var, 3000, rng(6))
+        out = np.full(3000, np.nan)
+        got = sample_leakage_noise_batch(4e-4, 1 / 9.0, elements, noise_var, 3000, rng(6),
+                                         out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+
+    def test_calls_without_out_share_no_memory(self):
+        first = sample_cascade_batch(4e-4, 1 / 36.0, 25, 3000, rng(7))
+        second = sample_cascade_batch(4e-4, 1 / 36.0, 25, 3000, rng(8))
+        assert not np.shares_memory(first, second)
+        first = sample_leakage_noise_batch(4e-4, 1 / 9.0, 25, 0.1, 3000, rng(7))
+        second = sample_leakage_noise_batch(4e-4, 1 / 9.0, 25, 0.1, 3000, rng(8))
+        assert not np.shares_memory(first, second)
+
+
+class TestRowSums:
+    """The cascade's row sums are numpy's float64 pairwise sums, bit for bit."""
+
+    @pytest.mark.parametrize("elements", [1, 7, 8, 25, 50, 75, 200])
+    def test_exact_rows_and_tiny_terms(self, elements):
+        g = rng(elements)
+        big = g.uniform(1e-3, 16.6, (2048, elements)).astype(np.float32)
+        # Terms far below the exact-sum floor make float64 round, so the
+        # summation order shows in the last bits of many rows.
+        tiny = big.copy()
+        tiny[:, ::3] = g.uniform(1e-12, 1e-7, tiny[:, ::3].shape).astype(np.float32)
+        for terms in (big, tiny):
+            out = np.full(2048, np.nan)
+            channel._row_sums(terms, np.empty(terms.size), out)
+            assert out.tobytes() == terms.sum(axis=1, dtype=np.float64).tobytes()

@@ -1,12 +1,15 @@
-import concurrent.futures
 import math
 import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import starnoma.analytic as analytic
+import starnoma.engine as engine
 from oracles import (align_all, cascaded_gain, interference_coefficient,
                      reference_block_errors, sample_realization, sic_receive)
 from starnoma import presets
@@ -266,22 +269,137 @@ class TestDeterminism:
                 assert got.bit_generator.state == want.bit_generator.state, (user, m)
 
     def test_pool_holds_at_most_the_cpu_count_of_threads(self, monkeypatch):
-        # A wave is ``workers`` blocks long, but only the CPU count of them
-        # may run (and hold their arrays) at once.
-        sizes = []
+        # A wave is ``workers`` blocks long, but every point's blocks run on
+        # one process pool of at most the CPU count of threads, so only that
+        # many blocks run (and hold their arrays) at once.
+        cpus = os.cpu_count() or 1
+        threads, running, peak = set(), [0], [0]
+        lock = threading.Lock()
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+        def recording(*args):
+            with lock:
+                threads.add(threading.get_ident())
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                return block_errors(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        block_errors = engine._block_errors
+        monkeypatch.setattr(engine, "_block_errors", recording)
         rule = StoppingRule(min_errors=10**9, max_trials=64 * 256)
         est = run_ber_point(star_config(), 10.0, 0, rule, seed=3, block_size=256,
                             workers=10**6)
-        assert len(sizes) == 1 and sizes[0] <= (os.cpu_count() or 1)
+        assert engine._block_pool()._max_workers <= cpus
         assert est.blocks == 64
         assert est == run_ber_point(star_config(), 10.0, 0, rule, seed=3, block_size=256)
+        assert len(threads) <= cpus and peak[0] <= cpus
+        assert len(engine._block_pool()._threads) <= cpus
+
+    def test_concurrent_points_share_the_pool_not_the_arrays(self):
+        # Points run from several threads at once share the process pool,
+        # with more blocks per wave than cores; each pool thread's block
+        # arrays are its own, so every estimate is the one-thread estimate.
+        cases = [(star_config(same_zone=True), 12.0, 0), (star_config(), 6.0, 1),
+                 (presets.fig5((4, 6, 8)).runs[0].config, 20.0, 2)]
+        rule = StoppingRule(min_errors=10**9, max_trials=12 * 1000)
+        want = [run_ber_point(cfg, snr, user, rule, seed=9, block_size=1000)
+                for cfg, snr, user in cases]
+        got, failures = {}, []
+
+        def caller(k):
+            try:
+                for i in range(3):
+                    cfg, snr, user = cases[(k + i) % len(cases)]
+                    got[k, i] = run_ber_point(cfg, snr, user, rule, seed=9,
+                                              block_size=1000, workers=5)
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers) and failures == []
+        assert got == {(k, i): want[(k + i) % len(cases)]
+                       for k in range(4) for i in range(3)}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads, 3.12+
+    def test_forked_child_runs_points_on_its_own_pool(self):
+        # The child has none of its parent's pool threads; a pool it shared
+        # would take its blocks and never run them.
+        rule = StoppingRule(min_errors=10**9, max_trials=4 * 256)
+
+        def point():
+            est = run_ber_point(star_config(), 10.0, 1, rule, seed=4, block_size=256,
+                                workers=2)
+            return f"{est.errors} {est.trials} {est.blocks}".encode()
+
+        want = point()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                os.write(write, point())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                os.close(read)
+                pytest.fail("the forked child's point did not finish")
+            time.sleep(0.05)
+        with os.fdopen(read, "rb") as fh:
+            got = fh.read()
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert got == want
+
+    def test_block_failure_raises_from_its_own_point(self, monkeypatch):
+        # A block that raises mid-wave fails its point only after every
+        # block that point started has finished; the next point is unharmed.
+        rule = StoppingRule(min_errors=10**9, max_trials=8 * 256)
+        want = run_ber_point(star_config(), 10.0, 1, rule, seed=5, block_size=256,
+                             workers=4)
+        calls, finished = [], []
+        lock = threading.Lock()
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                failed = len(calls) == 2
+            try:
+                if failed:
+                    raise RuntimeError("block failed")
+                time.sleep(0.05)
+                return block_errors(*args)
+            finally:
+                with lock:
+                    finished.append(None)
+
+        block_errors = engine._block_errors
+        monkeypatch.setattr(engine, "_block_errors", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_ber_point(star_config(), 10.0, 1, rule, seed=5, block_size=256,
+                          workers=4)
+        assert len(finished) == len(calls) <= 4
+        monkeypatch.setattr(engine, "_block_errors", block_errors)
+        assert run_ber_point(star_config(), 10.0, 1, rule, seed=5, block_size=256,
+                             workers=4) == want
 
 
 class TestPointEstimates:

@@ -565,6 +565,24 @@ def test_option_the_figure_does_not_take(figure, option, needs, tmp_path, capsys
     assert rc == 1 and f"{figure} takes no {option[0]}" in err and blocks == []
 
 
+# (figure, an option with a value the preset refuses, the options the figure
+# needs): the error names the option, not the sweep field or the parameter.
+REFUSED_VALUE_CASES = [
+    ("fig4", ["--elements", "8,4"], []),
+    ("fig2", ["--snr-values", "10,0"], ["--elements", "4"]),
+    ("fig5", ["--elements", "4,4"], []),
+]
+
+
+@pytest.mark.parametrize("figure,option,needs", REFUSED_VALUE_CASES,
+                         ids=[f"{c[0]}{c[1][0]}" for c in REFUSED_VALUE_CASES])
+def test_refused_value_names_its_option(figure, option, needs, tmp_path, capsys, blocks):
+    argv = ["figure", figure, *option, *needs, "--out", str(tmp_path / "out")]
+    rc, err = run_cli(argv + FAST, capsys)
+    assert rc == 1 and f"error: {option[0]} must" in err and blocks == []
+    assert "sweep.values" not in err and "element_counts" not in err
+
+
 @PROPERTY
 @given(bad=non_finite, command=st.sampled_from(OPTION_COMMANDS))
 def test_option_property(bad, command, tmp_path, capsys, blocks):
