@@ -25,11 +25,13 @@ takes the options its preset has parameters for: fig2 and fig5
 ``--allocations`` and ``--elements``, fig5 ``--elements``, and any other
 option is an error.  A value the preset refuses (an SNR or element grid
 that does not increase, fig5 counts that are not three) is reported
-under the option that gave it.  Exit codes: 0
-success, 1 validation failure (including NaN or infinite input), 2
-runtime/numeric failure.
-Outputs are written to a temporary file and renamed into place, so a
-failed run leaves earlier outputs untouched.
+under the option that gave it.  ``--seed`` must be an integer >= 0.
+Exit codes: 0 success, 1 validation failure (including NaN or infinite
+input), 2 runtime/numeric failure.  Every output, the manifest included,
+is checked before the first Monte Carlo block and written only after
+every run has finished, to a temporary file renamed into place, so a
+failed run leaves earlier outputs untouched; a failed write exits 2
+naming the path.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ from .rules import count, nonempty, power_coefficients, snr_from_db, user_indice
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
-
-_SWEEP_FIELDS = ("axis", "values", "users", "snr_db")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,9 @@ def parse_config(raw: Dict) -> Tuple[ScenarioConfig, Optional[Dict]]:
 
     if raw.get("sweep") is None:
         return config, None
-    sweep = _section("sweep", raw["sweep"], _SWEEP_FIELDS, ())
+    # The sweep fields are those of a figure run, less its name and config.
+    sweep = _section("sweep", raw["sweep"], [f.name for f in fields(presets.FigureRun)
+                                             if f.name not in ("name", "config")], ())
     for field in ("values", "users"):
         if not isinstance(sweep.get(field, []), list):
             raise ConfigError(f"sweep.{field}: not a list (got {sweep[field]!r})")
@@ -184,11 +186,14 @@ def sweep_rows(result: SweepResult) -> List[Tuple]:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it into
-    place, so an interrupted or failed run never leaves a partial file."""
+    place, so an interrupted or failed run never leaves a partial file.  A
+    failed write is a runtime error naming ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise StarNomaError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -274,15 +279,6 @@ def _power_pair(text: str) -> Tuple[float, float]:
     return float(a1), float(a2)
 
 
-def _rule_from_args(args) -> StoppingRule:
-    return StoppingRule(min_errors=count("--min-errors", args.min_errors, 1),
-                        max_trials=count("--max-trials", args.max_trials, 1))
-
-
-def _workers_from_args(args) -> int:
-    return count("--workers", args.workers, 1)
-
-
 def _user_indices(name: str, users_1based: Optional[Sequence[int]],
                   n_users: int) -> Tuple[int, ...]:
     """Zero-based indices of the 1-based users read from ``name``.  No list
@@ -294,15 +290,47 @@ def _user_indices(name: str, users_1based: Optional[Sequence[int]],
                                for i, u in enumerate(users_1based)], n_users)
 
 
+def _run(args, runs: Sequence[presets.FigureRun],
+         outputs: Sequence[Path] = ()) -> Tuple[List[SweepResult], StoppingRule, int]:
+    """The one path from the command line to ``run_sweep``: check the run
+    options, each under its own name, and every output path, then run each
+    sweep.  A refused option or path stops before the first block."""
+    rule = StoppingRule(min_errors=count("--min-errors", args.min_errors, 1),
+                        max_trials=count("--max-trials", args.max_trials, 1))
+    workers = count("--workers", args.workers, 1)
+    seed = count("--seed", args.seed)
+    for path in outputs:
+        _check_writable(path)
+    results = [run_sweep(run.config, run.axis, run.values, run.users, rule,
+                         seed=seed, snr_db=run.snr_db, workers=workers)
+               for run in runs]
+    return results, rule, workers
+
+
+def _run_and_write(args, runs: Sequence[presets.FigureRun], paths: Sequence[Path],
+                   manifest: Path, write) -> int:
+    """Run every sweep, then write each result to its path with ``write`` and
+    the manifest last, so a failed run leaves earlier outputs as they were.
+    A named run's notes carry its name."""
+    results, rule, workers = _run(args, runs, [*paths, manifest])
+    notes: List[str] = []
+    for run, result, path in zip(runs, results, paths):
+        write(result, path)
+        notes.extend(f"{run.name}: {n}" if run.name else n for n in collect_notes(result))
+        print(f"wrote {path}")
+    write_manifest(manifest, [config_hash(run.config) for run in runs],
+                   args.seed, paths, notes, rule, workers)
+    print(f"wrote {manifest}")
+    return 0
+
+
 def cmd_point(args) -> int:
     config, _ = load_config(args.config)
     users = _user_indices("--user", None if args.user is None else [args.user],
                           config.n_users)
-    rule = _rule_from_args(args)
-    workers = _workers_from_args(args)
     snr_from_db("--snr-db", args.snr_db)
-    result = run_sweep(config, SNR_AXIS, [args.snr_db], users, rule,
-                       seed=args.seed, workers=workers)
+    (result,), _, _ = _run(args, [presets.FigureRun("point", config, SNR_AXIS,
+                                                    (args.snr_db,), users)])
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for cell in result.cells:
@@ -319,32 +347,19 @@ def cmd_point(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, sweep_section = load_config(args.config)
-    sweep_section = sweep_section or {}
-    axis = args.axis or sweep_section.get("axis")
-    values = (args.values if args.values is not None
-              else sweep_section.get("values", ()))
+    config, section = load_config(args.config)
+    section = section or {}
     name, users_1based = (("--users", args.users) if args.users is not None
-                          else ("sweep.users", sweep_section.get("users")))
-    users = _user_indices(name, users_1based, config.n_users)
-    snr_db = args.snr_db if args.snr_db is not None else sweep_section.get("snr_db")
-
+                          else ("sweep.users", section.get("users")))
+    # Options override the sweep section; the unnamed run's notes go unprefixed.
+    run = presets.FigureRun(
+        "", config, args.axis or section.get("axis"),
+        args.values if args.values is not None else section.get("values", ()),
+        _user_indices(name, users_1based, config.n_users),
+        args.snr_db if args.snr_db is not None else section.get("snr_db"))
     out = Path(args.out)
-    _check_writable(out)
-
-    rule = _rule_from_args(args)
-    workers = _workers_from_args(args)
-    result = run_sweep(config, axis, values, users, rule,
-                       seed=args.seed, snr_db=snr_db, workers=workers)
-    if args.format == "csv":
-        write_sweep_csv(result, out)
-    else:
-        write_sweep_json(result, out)
-    manifest = out.with_name(out.name + ".manifest.json")
-    write_manifest(manifest, [config_hash(config)], args.seed, [out],
-                   collect_notes(result), rule, workers)
-    print(f"wrote {out} and {manifest}")
-    return 0
+    return _run_and_write(args, [run], [out], out.with_name(out.name + ".manifest.json"),
+                          write_sweep_csv if args.format == "csv" else write_sweep_json)
 
 
 def _each(rule):
@@ -394,26 +409,9 @@ def _figure_plan(args) -> presets.FigurePlan:
 def cmd_figure(args) -> int:
     plan = _figure_plan(args)
     out_dir = Path(args.out)
-    rule = _rule_from_args(args)
-    workers = _workers_from_args(args)
-    paths = [out_dir / f"{plan.name}_{run.name}.csv" for run in plan.runs]
-    for p in paths:
-        _check_writable(p)
-    # Every run finishes before any file is written, so a failed run leaves
-    # the directory as the previous invocation left it.
-    results = [run_sweep(run.config, run.axis, run.values, run.users, rule,
-                         seed=args.seed, snr_db=run.snr_db, workers=workers)
-               for run in plan.runs]
-    notes: List[str] = []
-    for run, result, path in zip(plan.runs, results, paths):
-        write_sweep_csv(result, path)
-        notes.extend(f"{run.name}: {n}" for n in collect_notes(result))
-        print(f"wrote {path}")
-    manifest = out_dir / f"{plan.name}.manifest.json"
-    write_manifest(manifest, [config_hash(run.config) for run in plan.runs],
-                   args.seed, paths, notes, rule, workers)
-    print(f"wrote {manifest}")
-    return 0
+    return _run_and_write(args, plan.runs,
+                          [out_dir / f"{plan.name}_{run.name}.csv" for run in plan.runs],
+                          out_dir / f"{plan.name}.manifest.json", write_sweep_csv)
 
 
 # ---------------------------------------------------------------------------

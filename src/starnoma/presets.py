@@ -41,7 +41,8 @@ FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
 @dataclass(frozen=True)
 class FigureRun:
-    """One sweep inside a figure: a config, an axis, and the users to plot."""
+    """One sweep: a config, an axis and the users to plot.  The fields after
+    ``config`` are also those of a config file's ``sweep`` section."""
 
     name: str
     config: ScenarioConfig
@@ -130,7 +131,7 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
     symmetric element grid.
     """
     values = increasing("fig4 element_counts", nonempty(
-        "fig4 element grid", tuple(float(n) for n in element_counts)))
+        "fig4 element_counts", tuple(float(n) for n in element_counts)))
     runs = []
     for a1, a2 in nonempty("fig4 allocations", allocations):
         cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, int(values[0]), GENIE)

@@ -296,6 +296,24 @@ class TestFigureCommand:
         assert main(argv + ["--seed", "2"]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_failed_manifest_write_exits_two(self, tmp_path, monkeypatch, capsys):
+        # A write that fails after the runs is a runtime error naming the
+        # path, with no traceback and no temporary file left behind.
+        real_replace = os.replace
+
+        def full_disk(src, dst):
+            if str(dst).endswith(".manifest.json"):
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        out = tmp_path / "f2"
+        rc = main(["figure", "fig2", "--out", str(out), "--snr-values", "0",
+                   "--elements", "4", *fast_args()])
+        err = capsys.readouterr().err
+        assert rc == 2 and "fig2.manifest.json" in err and "Traceback" not in err
+        assert not list(out.glob("*.tmp")) and not list(out.glob(".*.tmp"))
+
     def test_preset_rerun_byte_identical(self, tmp_path):
         for sub in ("r1", "r2"):
             rc = main(["figure", "fig4", "--out", str(tmp_path / sub),

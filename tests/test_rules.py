@@ -531,7 +531,7 @@ def test_empty_preset_arguments(preset, kwargs, named):
 
 def test_empty_preset_grids():
     # The presets read an empty grid as empty too: the sweep refuses it.
-    with pytest.raises(ConfigError, match="element grid"):
+    with pytest.raises(ConfigError, match="fig4 element_counts must be nonempty"):
         presets.fig4(element_counts=[])
     run = presets.fig2(element_counts=[4], snr_values=[]).runs[0]
     with pytest.raises(ConfigError, match="sweep.values must be nonempty"):
@@ -597,6 +597,36 @@ def test_extreme_snr_db_option(command, db, tmp_path, capsys, blocks):
     argv, named = _option_case(command, db, tmp_path)
     rc, err = run_cli(argv + FAST, capsys)
     assert rc == 1 and named in err and blocks == []
+
+
+@pytest.mark.parametrize("command", OPTION_COMMANDS)
+def test_negative_seed_names_its_option(command, tmp_path, capsys, blocks):
+    argv, _ = _option_case(command, 10.0, tmp_path)
+    rc, err = run_cli(argv + FAST + ["--seed=-1"], capsys)
+    assert rc == 1 and "error: --seed must be an integer >= 0" in err and blocks == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure"])
+def test_blocked_manifest_fails_before_the_first_block(command, tmp_path, capsys, request):
+    # The manifest path is checked with the other outputs, so a run that
+    # could not record its manifest runs no block and replaces no output.
+    path = write_config(tmp_path / "c.json", CONFIG)
+    if command == "sweep":
+        argv = ["sweep", "--config", path, "--out", str(tmp_path / "curve.csv")]
+        manifest = tmp_path / "curve.csv.manifest.json"
+    else:
+        argv = ["figure", "fig2", "--elements", "4", "--snr-values", "0",
+                "--out", str(tmp_path / "f2")]
+        manifest = tmp_path / "f2" / "fig2.manifest.json"
+    assert run_cli(argv + FAST, capsys)[0] == 0
+    manifest.unlink()
+    manifest.mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*.csv")}
+    blocks = request.getfixturevalue("blocks")
+    rc, err = run_cli(argv + FAST + ["--seed", "3"], capsys)
+    assert rc == 1 and str(manifest) in err and blocks == []
+    assert len(before) == (1 if command == "sweep" else 2)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*.csv")} == before
 
 
 @PROPERTY
