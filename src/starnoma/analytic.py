@@ -117,8 +117,6 @@ class UserAnalyticParams:
     amplitudes: Tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index < self.alloc.n_users:
-            raise InvalidParameterError(f"user index {self.index} out of range")
         count("zone_elements", self.zone_elements, count("own_elements", self.own_elements))
         positive("overall_gain", self.overall_gain)
         mean, variance = clt_moments(self.overall_gain, self.own_elements)
@@ -404,24 +402,20 @@ def ber_imperfect_sic(params_user2: UserAnalyticParams,
     at the cancelling user's position: its sign-combination set with the
     cancelling user's channel moments.  The stronger user itself performs
     no cancellation, so its imperfect-SIC error rate equals its perfect-SIC
-    one.
+    one.  Any other pair is refused, a stage built with another power split
+    included.
     """
-    if params_user2.n_users != 2 or params_x1_at_user2.n_users != 2:
+    user, stage = params_user2, params_x1_at_user2
+    if user.n_users != 2 or user.index != 1:
         raise UnsupportedScenarioError(
-            "the imperfect-cancellation combination is derived for two users only")
-    if params_user2.index != 1 or params_x1_at_user2.index != 0:
+            "the imperfect-cancellation combination is derived for two users "
+            "only, at the cancelling user (index 1)")
+    if ((stage.index, stage.alloc, stage.overall_gain, stage.own_elements,
+         stage.zone_elements) != (0, user.alloc, user.overall_gain,
+                                  user.own_elements, user.zone_elements)):
         raise UnsupportedScenarioError(
-            "expected the cancelling user (index 1) and the stronger user's "
-            "symbol seen at that position (index 0)")
-    same_channel = (
-        params_user2.overall_gain == params_x1_at_user2.overall_gain
-        and params_user2.own_elements == params_x1_at_user2.own_elements
-        and params_user2.zone_elements == params_x1_at_user2.zone_elements
-        and params_user2.alloc.power == params_x1_at_user2.alloc.power
-    )
-    if not same_channel:
-        raise UnsupportedScenarioError(
-            "both parameter sets must carry the cancelling user's channel and power")
-    root_snr = _root_effective_snr(params_user2, snr)  # shared, as the channel is
-    return imperfect_sic_mixture(_closed_form_sum(params_user2, root_snr),
-                                 1.0 - _closed_form_sum(params_x1_at_user2, root_snr))
+            "expected the stronger user's symbol (index 0) with the cancelling "
+            "user's channel, power split and power")
+    root_snr = _root_effective_snr(user, snr)  # shared, as the channel is
+    return imperfect_sic_mixture(_closed_form_sum(user, root_snr),
+                                 1.0 - _closed_form_sum(stage, root_snr))

@@ -51,15 +51,16 @@ def path_gain(distance: float, exponent: float) -> float:
 
 
 def scratch(name: str, size: int, dtype: str = "float64") -> np.ndarray:
-    """The calling thread's work array ``name``: ``size`` values of a buffer
-    the thread keeps, grown to the largest size it has asked for.
+    """The calling thread's work array ``name``: ``size`` values of type
+    ``dtype`` from a buffer the thread keeps, grown to the largest size it
+    has asked for and made anew when another dtype is asked for.
 
     A later call with the same name on the same thread returns the same
     memory, so a caller must be done with the array before asking again.
     """
     import numpy as np
     buf = getattr(_scratch, name, None)
-    if buf is None or buf.size < size:
+    if buf is None or buf.size < size or buf.dtype != dtype:
         buf = np.empty(size, dtype)
         setattr(_scratch, name, buf)
     return buf[:size]
@@ -152,17 +153,19 @@ def sample_leakage_noise_batch(bs_gain: float, user_gain: float, elements: int,
     each trial's realised leakage variance, and one normal draw carries the
     leakage and the noise of variance ``noise_var`` together.  The gamma
     is drawn as ``bs_gain * standard_gamma(elements)``, which is how the
-    generator's ``gamma`` forms each value.
+    generator's ``gamma`` forms each value.  With no leaking elements the
+    normals, drawn straight into the output, are the noise alone.
     """
     import numpy as np
     variance = np.empty(size) if out is None else out
-    if elements:
-        rng.standard_gamma(elements, out=variance)
-        variance *= bs_gain
-        variance *= 0.5 * user_gain
-        variance += noise_var
-    else:
-        variance.fill(noise_var)
+    if not elements:
+        rng.standard_normal(out=variance)
+        variance *= math.sqrt(noise_var)
+        return variance
+    rng.standard_gamma(elements, out=variance)
+    variance *= bs_gain
+    variance *= 0.5 * user_gain
+    variance += noise_var
     noise = rng.standard_normal(out=scratch("noise", size))
     np.sqrt(variance, out=variance)
     variance *= noise

@@ -31,7 +31,8 @@ input), 2 runtime/numeric failure.  Every output, the manifest included,
 is checked before the first Monte Carlo block and written only after
 every run has finished, to a temporary file renamed into place, so a
 failed run leaves earlier outputs untouched; a failed write exits 2
-naming the path.
+naming the path.  A command whose runs would write one file twice exits
+1 naming it.
 """
 
 from __future__ import annotations
@@ -294,12 +295,15 @@ def _run(args, runs: Sequence[presets.FigureRun],
          outputs: Sequence[Path] = ()) -> Tuple[List[SweepResult], StoppingRule, int]:
     """The one path from the command line to ``run_sweep``: check the run
     options, each under its own name, and every output path, then run each
-    sweep.  A refused option or path stops before the first block."""
+    sweep.  A refused option or path, or a path given twice (the second run
+    would replace the first's output), stops before the first block."""
     rule = StoppingRule(min_errors=count("--min-errors", args.min_errors, 1),
                         max_trials=count("--max-trials", args.max_trials, 1))
     workers = count("--workers", args.workers, 1)
     seed = count("--seed", args.seed)
-    for path in outputs:
+    for i, path in enumerate(outputs):
+        if path in outputs[:i]:
+            raise ConfigError(f"output path {path} would be written by two runs")
         _check_writable(path)
     results = [run_sweep(run.config, run.axis, run.values, run.users, rule,
                          seed=seed, snr_db=run.snr_db, workers=workers)

@@ -48,7 +48,7 @@ from .channel import (
     sample_leakage_noise_batch,
     scratch,
 )
-from .errors import ConfigError, InvalidParameterError, NoErrorFloor
+from .errors import ConfigError, InvalidParameterError
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from .rules import (count, increasing, nonempty, nonnegative, number, one_of,
                     positive, power_coefficients, snr_from_db, user_indices)
@@ -461,51 +461,47 @@ def _config_at(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfi
     return replace(config, users=users)
 
 
-def _analytic_cell(config: ScenarioConfig, user: int, snr_db: float
+def _analytic_cell(config: ScenarioConfig, user: int, snr: float
                    ) -> Tuple[float, float, Optional[float], Tuple[str, ...]]:
-    if config.variant != STAR_VARIANT:
-        return float("nan"), float("nan"), None, ()
-    params = config.analytic_params(user)
-    snr = snr_from_db("snr_db", snr_db)
-    notes: List[str] = []
+    # snr is the linear SNR that run_sweep has checked.
     nan = float("nan")
-
+    if config.variant != STAR_VARIANT:
+        return nan, nan, None, ()
+    params = config.analytic_params(user)
     # Detected-mode cancellation has its own analytic combination, derived
     # for two users; the non-cancelling user's value is mode-independent.
-    if config.sic_mode == DETECTED and user > 0:
-        if config.n_users != 2:
-            return nan, nan, nan, (
-                "detected-SIC analytics are derived for two users only",)
-        params_x1 = replace(params, index=0)
-        try:
-            closed = analytic.ber_imperfect_sic(params, params_x1, snr)
-        except InvalidParameterError as exc:
-            closed = nan
-            notes.append(f"imperfect-SIC closed form unavailable: {exc}")
-        own = analytic.ber_numeric(params, snr)
-        stage_err = analytic.ber_numeric(params_x1, snr)
-        numeric = analytic.imperfect_sic_mixture(own, 1.0 - stage_err)
-        if params.co_zone_elements == 0:
-            asym: Optional[float] = None
-        else:
-            asym = nan
-            notes.append("no high-SNR limit derived for detected SIC with "
-                         "subsurface interference")
-        return closed, numeric, asym, tuple(notes)
+    detected = config.sic_mode == DETECTED and user > 0
+    if detected and config.n_users != 2:
+        return nan, nan, nan, ("detected-SIC analytics are derived for two users only",)
+    notes: List[str] = []
 
-    try:
-        closed = analytic.ber_closed_form(params, snr)
-    except InvalidParameterError as exc:
-        closed = nan
-        notes.append(f"closed form unavailable for user {user + 1}: {exc}")
-    numeric = analytic.ber_numeric(params, snr)
-    try:
-        asym = analytic.ber_asymptotic(params)
-    except NoErrorFloor:
-        asym = None
-    except InvalidParameterError as exc:
+    def or_nan(note: str, route, *args) -> float:
+        # A route the model does not cover gives NaN and a note saying why.
+        try:
+            return route(*args)
+        except InvalidParameterError as exc:
+            notes.append(f"{note}: {exc}")
+            return nan
+
+    if detected:
+        params_x1 = replace(params, index=0)
+        closed = or_nan("imperfect-SIC closed form unavailable",
+                        analytic.ber_imperfect_sic, params, params_x1, snr)
+        numeric = analytic.imperfect_sic_mixture(
+            analytic.ber_numeric(params, snr), 1.0 - analytic.ber_numeric(params_x1, snr))
+    else:
+        closed = or_nan(f"closed form unavailable for user {user + 1}",
+                        analytic.ber_closed_form, params, snr)
+        numeric = analytic.ber_numeric(params, snr)
+    if params.co_zone_elements == 0:
+        asym: Optional[float] = None  # a sole occupant's error rate has no floor
+    elif detected:
         asym = nan
-        notes.append(f"asymptote unavailable for user {user + 1}: {exc}")
+        notes.append("no high-SNR limit derived for detected SIC with "
+                     "subsurface interference")
+    else:
+        asym = or_nan(f"asymptote unavailable for user {user + 1}",
+                      analytic.ber_asymptotic, params)
     return closed, numeric, asym, tuple(notes)
 
 
@@ -520,12 +516,12 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     """
     one_of("sweep.axis", axis, AXES)
     vals = tuple(number(f"sweep.values[{i}]", v) for i, v in enumerate(values))
-    if axis == SNR_AXIS:
-        for i, v in enumerate(vals):
-            snr_from_db(f"sweep.values[{i}]", v)
+    # The linear SNRs, which the analytic columns take as checked here.
+    snrs = ([snr_from_db(f"sweep.values[{i}]", v) for i, v in enumerate(vals)]
+            if axis == SNR_AXIS else [])
     increasing("sweep.values", nonempty("sweep.values", vals))
     if snr_db is not None:
-        snr_from_db("sweep.snr_db", snr_db)
+        fixed_snr = snr_from_db("sweep.snr_db", snr_db)
     elif axis != SNR_AXIS:
         raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
     user_list = user_indices("sweep.users", [count(f"sweep.users[{i}]", u)
@@ -543,13 +539,13 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
                  for w, at in held.items())
     cells: List[SweepCell] = []
     for vi, (value, point_config) in enumerate(zip(vals, point_configs)):
-        point_snr = value if axis == SNR_AXIS else snr_db
+        point_snr, snr = (value, snrs[vi]) if axis == SNR_AXIS else (snr_db, fixed_snr)
         for user in user_list:
             runner = (run_ber_point if config.variant == STAR_VARIANT
                       else run_classical_point)
             est = runner(point_config, point_snr, user, rule, seed,
                          stream_key=(vi, user), workers=workers)
-            closed, numeric, asym, notes = _analytic_cell(point_config, user, point_snr)
+            closed, numeric, asym, notes = _analytic_cell(point_config, user, snr)
             if est.underflow:
                 notes = notes + (f"no errors observed in {est.trials} trials; "
                                  "interval is one-sided",)

@@ -701,6 +701,15 @@ class TestImperfectSic:
         with pytest.raises(UnsupportedScenarioError, match="power"):
             ber_imperfect_sic(p2, p1, 100.0)
 
+    def test_rejects_a_stage_with_another_power_split(self):
+        # Same channel and transmit power, but the stage's sign combinations
+        # come from (0.8, 0.2), not from the cancelling user's (0.7, 0.3).
+        p2, p1_at_2 = self._pair(coeffs=(0.7, 0.3))
+        _, other_split = self._pair(coeffs=(0.8, 0.2))
+        assert ber_imperfect_sic(p2, p1_at_2, 100.0) == pytest.approx(0.1128, abs=1e-4)
+        with pytest.raises(UnsupportedScenarioError, match="power"):
+            ber_imperfect_sic(p2, other_split, 100.0)
+
 
 # ---------------------------------------------------------------------------
 # golden values: every route's result pinned bit for bit

@@ -354,6 +354,17 @@ class TestOutArrays:
                                          out=out)
         assert got is out and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-4, 0.3, 7.0])
+    def test_noise_only_is_scaled_standard_normals(self, noise_var):
+        want = math.sqrt(noise_var) * rng(6).standard_normal(3000)
+        got = sample_leakage_noise_batch(4e-4, 1 / 9.0, 0, noise_var, 3000, rng(6))
+        assert got.tobytes() == want.tobytes()
+
+    def test_scratch_honours_its_dtype(self):
+        assert channel.scratch("dtype_probe", 8, "bool").dtype == np.bool_
+        again = channel.scratch("dtype_probe", 4)
+        assert again.dtype == np.float64 and again.size == 4
+
     def test_calls_without_out_share_no_memory(self):
         first = sample_cascade_batch(4e-4, 1 / 36.0, 25, 3000, rng(7))
         second = sample_cascade_batch(4e-4, 1 / 36.0, 25, 3000, rng(8))

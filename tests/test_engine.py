@@ -620,6 +620,44 @@ class TestSweep:
             analytic.ber_closed_form(cfg.analytic_params(0), 10.0), rel=1e-12, abs=0)
         assert cell_u2.ber_closed_form > p_perfect
 
+    # The note a refused analytic route leaves: (0.5, 0.5) gives the stronger
+    # user's symbol a zero-amplitude sign combination.
+    ZERO_AMPLITUDE = ("a sign combination has non-positive amplitude; the one-sided "
+                      "tail fit does not cover this allocation")
+
+    def test_refused_closed_form_and_asymptote_leave_notes(self):
+        cfg = star_config(n1=8, n2=8, same_zone=True, a=(0.5, 0.5))
+        rule = StoppingRule(min_errors=1, max_trials=1000)
+        cell_u1, cell_u2 = run_sweep(cfg, "snr_db", [0.0], [0, 1], rule, seed=1).cells
+        assert math.isnan(cell_u1.ber_closed_form) and math.isnan(cell_u1.ber_asymptotic)
+        assert math.isfinite(cell_u1.ber_numeric)
+        assert cell_u1.notes == (f"closed form unavailable for user 1: {self.ZERO_AMPLITUDE}",
+                                 f"asymptote unavailable for user 1: {self.ZERO_AMPLITUDE}")
+        assert cell_u2.notes == ()
+        assert all(math.isfinite(x) for x in (cell_u2.ber_closed_form, cell_u2.ber_numeric,
+                                              cell_u2.ber_asymptotic))
+
+    def test_refused_imperfect_sic_closed_form_leaves_a_note(self):
+        cfg = star_config(n1=8, n2=8, a=(0.5, 0.5), sic_mode=DETECTED)
+        rule = StoppingRule(min_errors=1, max_trials=1000)
+        cell = run_sweep(cfg, "snr_db", [0.0], [1], rule, seed=1).cells[0]
+        assert math.isnan(cell.ber_closed_form) and math.isfinite(cell.ber_numeric)
+        assert cell.ber_asymptotic is None
+        assert cell.notes == (f"imperfect-SIC closed form unavailable: {self.ZERO_AMPLITUDE}",)
+
+    def test_detected_sic_beyond_two_users_leaves_a_note(self):
+        cfg = ScenarioConfig(
+            variant=STAR_VARIANT,
+            users=(UserSpec(3.0, "transmission", 8, 0.5),
+                   UserSpec(2.5, "transmission", 8, 0.3),
+                   UserSpec(2.0, "reflection", 8, 0.2)),
+            bs_ris_distance=20.0, sic_mode=DETECTED)
+        rule = StoppingRule(min_errors=1, max_trials=1000)
+        for cell in run_sweep(cfg, "snr_db", [0.0], [1, 2], rule, seed=1).cells:
+            assert all(math.isnan(x) for x in (cell.ber_closed_form, cell.ber_numeric,
+                                               cell.ber_asymptotic))
+            assert cell.notes == ("detected-SIC analytics are derived for two users only",)
+
     def test_underflow_note_propagates(self):
         cfg = ScenarioConfig(variant=STAR_VARIANT,
                              users=(UserSpec(2.0, "transmission", 64, 1.0),),

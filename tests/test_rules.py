@@ -583,6 +583,28 @@ def test_refused_value_names_its_option(figure, option, needs, tmp_path, capsys,
     assert "sweep.values" not in err and "element_counts" not in err
 
 
+# (figure, options whose runs would share a file name, the file): the second
+# run would replace the first's curve, so the command is refused naming it.
+REPEATED_OUTPUT_CASES = [
+    ("fig2", ["--elements", "4,4"], "fig2_star_n4.csv"),
+    ("fig3", ["--elements", "4,4", "--allocations", "0.7:0.3"], "fig3_a70_n4_perfect.csv"),
+    # Both splits round to a70.
+    ("fig3", ["--allocations", "0.705:0.295,0.704:0.296", "--elements", "4"],
+     "fig3_a70_n4_perfect.csv"),
+    ("fig4", ["--allocations", "0.7:0.3,0.7:0.3"], "fig4_a70.csv"),
+]
+
+
+@pytest.mark.parametrize("figure,options,repeated", REPEATED_OUTPUT_CASES,
+                         ids=[f"{c[0]}{c[1][0]}={c[1][1]}" for c in REPEATED_OUTPUT_CASES])
+def test_repeated_output_file_is_refused(figure, options, repeated, tmp_path, capsys,
+                                         blocks):
+    argv = ["figure", figure, *options, "--out", str(tmp_path / "out")]
+    rc, err = run_cli(argv + FAST, capsys)
+    assert rc == 1 and str(tmp_path / "out" / repeated) in err and blocks == []
+    assert "Traceback" not in err and list(tmp_path.rglob("*.csv")) == []
+
+
 @PROPERTY
 @given(bad=non_finite, command=st.sampled_from(OPTION_COMMANDS))
 def test_option_property(bad, command, tmp_path, capsys, blocks):
