@@ -375,7 +375,7 @@ def ber_asymptotic(params: UserAnalyticParams) -> float:
     """
     extra = params.co_zone_elements
     if extra == 0:
-        raise NoErrorFloor(f"user {params.index} is the sole occupant of its zone; "
+        raise NoErrorFloor(f"user {params.index + 1} is the sole occupant of its zone; "
                            "its error rate keeps falling with SNR")
     # As the noise P / snr vanishes, 2 rho snr / P tends to 2 / (L N_c).
     return _closed_form_sum(

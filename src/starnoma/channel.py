@@ -13,6 +13,7 @@ import math
 import threading
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from .errors import BlockStopped
 from .rules import count, nonnegative, positive
 
 if TYPE_CHECKING:
@@ -86,9 +87,12 @@ def _row_sums(terms: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
 
 def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
                          size: int, rng: np.random.Generator,
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
+                         out: Optional[np.ndarray] = None,
+                         stop: Optional[threading.Event] = None) -> np.ndarray:
     """Batch of aligned cascaded gains, one per realization, written to
     ``out`` (``size`` float64 values) when given, else to a new array.
+    If ``stop`` is set before a chunk of rows is drawn, the call raises
+    :class:`BlockStopped` instead: the caller no longer wants the batch.
 
     Law-equivalent to sampling a per-element realization, aligning the
     user's own subsurface and taking the magnitude of its response (the
@@ -118,9 +122,11 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
         return out
     buf = scratch("cascade", 2 * min(size, _CASCADE_ROWS) * elements, "float32")
     for start in range(0, size, _CASCADE_ROWS):
-        stop = min(size, start + _CASCADE_ROWS)
-        shape = (2, stop - start, elements)
-        raw = rng.bit_generator.random_raw((stop - start) * elements)
+        if stop is not None and stop.is_set():
+            raise BlockStopped("the cascade's caller has stopped")
+        end = min(size, start + _CASCADE_ROWS)
+        shape = (2, end - start, elements)
+        raw = rng.bit_generator.random_raw((end - start) * elements)
         w = raw.astype("<u8", copy=False).view("<u4").reshape(shape)
         np.right_shift(w, 8, out=w)
         np.subtract(1 << 24, w, out=w)                        # 2**24 (1 - U)
@@ -130,7 +136,7 @@ def sample_cascade_batch(bs_gain: float, user_gain: float, elements: int,
         log_u = np.log(u, out=u)                              # -E1, -E2
         root = np.multiply(log_u[0], log_u[1], out=log_u[0])  # E1 * E2
         np.sqrt(root, out=root)
-        _row_sums(root, raw.view(np.float64), out[start:stop])
+        _row_sums(root, raw.view(np.float64), out[start:end])
     out *= math.sqrt(bs_gain * user_gain)
     return out
 

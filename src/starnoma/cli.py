@@ -28,9 +28,10 @@ that does not increase, fig5 counts that are not three) is reported
 under the option that gave it.  ``--seed`` must be an integer >= 0.
 Exit codes: 0 success, 1 validation failure (including NaN or infinite
 input), 2 runtime/numeric failure.  Every output, the manifest included,
-is checked before the first Monte Carlo block and written only after
-every run has finished, to a temporary file renamed into place, so a
-failed run leaves earlier outputs untouched; a failed write exits 2
+is checked before the first Monte Carlo block.  Once every run has
+finished, each output is written to a temporary file, and the files are
+renamed into place only when all of them are written, so a failed run or
+a failed write leaves earlier outputs untouched; a failed write exits 2
 naming the path.  A command whose runs would write one file twice exits
 1 naming it.
 """
@@ -44,9 +45,10 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__, presets
 from .engine import (
@@ -185,25 +187,11 @@ def sweep_rows(result: SweepResult) -> List[Tuple]:
     return rows
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it into
-    place, so an interrupted or failed run never leaves a partial file.  A
-    failed write is a runtime error naming ``path``."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise StarNomaError(f"cannot write {path}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def write_sweep_csv(result: SweepResult, path: Path) -> None:
     lines = [CSV_HEADER]
     for row in sweep_rows(result):
         lines.append(",".join(str(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:
@@ -211,7 +199,7 @@ def write_sweep_json(result: SweepResult, path: Path) -> None:
     rows = [dict(zip(header, row), stop_reason=cell.estimate.stop_reason)
             for row, cell in zip(sweep_rows(result), result.cells)]
     doc = {"axis": result.axis, "rows": rows}
-    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def collect_notes(result: SweepResult) -> List[str]:
@@ -245,7 +233,7 @@ def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
         "outputs": [str(p) for p in outputs],
         "warnings": list(warnings_list),
     }
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _check_writable(path: Path) -> None:
@@ -311,20 +299,42 @@ def _run(args, runs: Sequence[presets.FigureRun],
     return results, rule, workers
 
 
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """A failed write inside is a runtime error naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise StarNomaError(f"cannot write {path}: {exc}") from exc
+
+
 def _run_and_write(args, runs: Sequence[presets.FigureRun], paths: Sequence[Path],
                    manifest: Path, write) -> int:
-    """Run every sweep, then write each result to its path with ``write`` and
-    the manifest last, so a failed run leaves earlier outputs as they were.
-    A named run's notes carry its name."""
+    """Run every sweep, then write each result with ``write`` and the
+    manifest, each to a temporary file beside its path, and rename them into
+    place, the manifest last, only once every one is written.  So a failed
+    run or write leaves earlier outputs as they were.  A named run's notes
+    carry its name."""
     results, rule, workers = _run(args, runs, [*paths, manifest])
     notes: List[str] = []
-    for run, result, path in zip(runs, results, paths):
-        write(result, path)
+    for run, result in zip(runs, results):
         notes.extend(f"{run.name}: {n}" if run.name else n for n in collect_notes(result))
-        print(f"wrote {path}")
-    write_manifest(manifest, [config_hash(run.config) for run in runs],
-                   args.seed, paths, notes, rule, workers)
-    print(f"wrote {manifest}")
+    targets = [*paths, manifest]
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
+    try:
+        for result, path, tmp in zip(results, paths, temps):
+            with _writing(path):
+                write(result, tmp)
+        with _writing(manifest):
+            write_manifest(temps[-1], [config_hash(run.config) for run in runs],
+                           args.seed, paths, notes, rule, workers)
+        for path, tmp in zip(targets, temps):
+            with _writing(path):
+                os.replace(tmp, path)
+            print(f"wrote {path}")
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
     return 0
 
 
@@ -426,7 +436,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-errors", type=int, default=StoppingRule.min_errors)
     parser.add_argument("--max-trials", type=int, default=StoppingRule.max_trials)
-    parser.add_argument("--workers", type=int, default=1, help="blocks per wave")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="the most blocks one point runs at once")
 
 
 def build_parser() -> argparse.ArgumentParser:

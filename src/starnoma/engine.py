@@ -21,11 +21,16 @@ own PCG64 generator, seeded by ``SeedSequence(seed, spawn_key=(*stream_key,
 b))``; blocks merge in index order, and stopping rules fire at block
 boundaries, so results are bit-identical for any worker count.
 
-A point submits its blocks in waves of ``workers`` to one thread pool per
-process, with one thread per CPU, made at the first point (and again in
-a forked child, which has none of its parent's threads).  A point
-returns, or raises a block's error, only when every block it started has
-finished.  Each thread keeps its block arrays (:func:`channel.scratch`)
+A point runs at most ``workers`` blocks at once.  It submits that many
+tasks to one thread pool per process, with one thread per CPU, made at
+the first point (and again in a forked child, which has none of its
+parent's threads).  Each task claims the point's next block index and
+runs it, until the point stops; the calling thread merges the results.
+Once the point stops, no block is claimed, and a block still running
+ends at its next cascade chunk with no result.  A block that raises
+stops the claiming, and its error is raised when the merge reaches it.
+A point returns, or raises, only when every task it submitted has
+returned.  Each thread keeps its block arrays (:func:`channel.scratch`)
 at the size of the largest block it has run, so the memory of one
 block is reused by the next instead of going back to the system.
 """
@@ -48,7 +53,7 @@ from .channel import (
     sample_leakage_noise_batch,
     scratch,
 )
-from .errors import ConfigError, InvalidParameterError
+from .errors import BlockStopped, ConfigError, InvalidParameterError
 from .noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from .rules import (count, increasing, nonempty, nonnegative, number, one_of,
                     positive, power_coefficients, snr_from_db, user_indices)
@@ -273,11 +278,14 @@ class BerEstimate:
 
 
 def _block_errors(config: ScenarioConfig, user: int, snr: float,
-                  rng: np.random.Generator, m: int) -> int:
+                  rng: np.random.Generator, m: int,
+                  stop: Optional[threading.Event] = None) -> int:
     """Simulate ``m`` trials of ``user``; return the observed own-bit error count.
 
     The arrays are the thread's :func:`scratch` buffers; each value is
     formed as in ``tests/oracles.py::reference_block_errors``, bit for bit.
+    Once ``stop`` is set, the cascade raises :class:`BlockStopped` at its
+    next chunk.
     """
     import numpy as np
     amplitudes = np.array(config.power_allocation().amplitudes())  # sqrt(a_j P)
@@ -295,10 +303,11 @@ def _block_errors(config: ScenarioConfig, user: int, snr: float,
         co_zone = 0
     else:
         gain = sample_cascade_batch(bs_gain, user_gain, own, m, rng,
-                                    out=scratch("gain", m))
+                                    out=scratch("gain", m), stop=stop)
         co_zone = config.zone_elements(user) - own
 
-    bits = rng.integers(0, 2, (m, config.n_users))
+    # int32 bits: the same values and generator end state as int64 ones.
+    bits = rng.integers(0, 2, (m, config.n_users), dtype=np.int32)
     signs = scratch("signs", bits.size).reshape(bits.shape)
     np.multiply(bits, 2.0, out=signs)
     signs -= 1.0
@@ -365,32 +374,56 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
     def block_trials(b: int) -> int:
         return min(block_size, rule.max_trials - b * block_size)
 
-    def run_block(b: int) -> int:
-        return _block_errors(config, user, snr, _block_rng(seed, stream_key, b),
-                             block_trials(b))
+    finished: Dict[int, Tuple[int, Optional[BaseException]]] = {}
+    unclaimed = 0  # the next block to run; n_blocks once one has failed
+    stop = threading.Event()  # set once the point has stopped
+    changed = threading.Condition()
 
-    pool = _block_pool()
+    def run_blocks() -> None:
+        # One task: run the next unclaimed block until none is left or the
+        # point has stopped.
+        nonlocal unclaimed
+        while True:
+            with changed:
+                b = unclaimed
+                if b >= n_blocks or stop.is_set():
+                    return
+                unclaimed = b + 1
+            try:
+                got = (_block_errors(config, user, snr, _block_rng(seed, stream_key, b),
+                                     block_trials(b), stop), None)
+            except BlockStopped:
+                return  # the point has stopped, so it reads no more blocks
+            except BaseException as exc:  # raised by the merge if it reaches b
+                got = (0, exc)
+            with changed:
+                finished[b] = got
+                if got[1] is not None:
+                    unclaimed = n_blocks
+                changed.notify()
+
+    # At most the CPU count of the tasks run at once, on the process pool.
+    tasks = [_block_pool().submit(run_blocks) for _ in range(min(n_workers, n_blocks))]
     errors = trials = blocks = 0
     reason = None  # until a criterion fires
-    # Waves are ``workers`` blocks long; at most the CPU count of them run at once.
-    while reason is None:
-        wave = [pool.submit(run_block, b)
-                for b in range(blocks, min(blocks + n_workers, n_blocks))]
-        try:
-            # Merge strictly in index order; once a stopping rule fires,
-            # the wave's later (speculative) blocks are discarded.
-            for future in wave:
-                errors += future.result()
-                trials += block_trials(blocks)
-                blocks += 1
-                if (reason := rule.reason(errors, trials)) is not None:
-                    break
-        finally:
-            # No block outlives its point: unstarted ones are dropped and
-            # running ones finish before the point returns or raises.
-            for future in wave:
-                future.cancel()
-            wait(wave)
+    try:
+        # Merge strictly in index order; blocks past the stop are discarded.
+        while reason is None:
+            with changed:
+                while blocks not in finished:
+                    changed.wait()
+                got, exc = finished.pop(blocks)
+            if exc is not None:
+                raise exc
+            errors += got
+            trials += block_trials(blocks)
+            blocks += 1
+            reason = rule.reason(errors, trials)
+    finally:
+        # No block outlives its point: claiming ends, a running block ends
+        # at its next cascade chunk, and every task returns first.
+        stop.set()
+        wait(tasks)
 
     return BerEstimate.from_counts(errors, trials, seed, stream_key,
                                    block_size, blocks, reason)

@@ -22,6 +22,11 @@ class NumericError(StarNomaError, ArithmeticError):
     No package routine raises it at present."""
 
 
+class BlockStopped(StarNomaError):
+    """A Monte Carlo block was abandoned part-way because its point had
+    already stopped; the block gives no result, and its point reads none."""
+
+
 class NoErrorFloor(StarNomaError):
     """Signals that a user has no high-SNR error floor (sole occupant of its
     surface part).  Raised instead of returning a number so callers cannot

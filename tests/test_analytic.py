@@ -632,6 +632,12 @@ class TestBerAsymptotic:
         with pytest.raises(NoErrorFloor):
             ber_asymptotic(make_params(own=50, zone=50))
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_no_floor_names_the_user_from_one(self, index):
+        # Users are numbered from 1 in every message; index 0 is user 1.
+        with pytest.raises(NoErrorFloor, match=f"^user {index + 1} is the sole occupant"):
+            ber_asymptotic(make_params(index=index, own=50, zone=50))
+
     def test_substitution_identity(self):
         params = make_params(index=0, gain=20.0**-2 * 3.0**-2, own=16, zone=32)
         limit = floor_snr(params)

@@ -314,6 +314,34 @@ class TestFigureCommand:
         assert rc == 2 and "fig2.manifest.json" in err and "Traceback" not in err
         assert not list(out.glob("*.tmp")) and not list(out.glob(".*.tmp"))
 
+    def test_failed_output_write_leaves_every_old_file(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # Every output is written before the first is renamed, so a write
+        # that fails on the second output leaves the first output and the
+        # manifest of the earlier run as they were.
+        out = tmp_path / "f2"
+        argv = ["figure", "fig2", "--out", str(out), "--snr-values", "0",
+                "--elements", "4", *fast_args()]
+        assert main(argv + ["--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["fig2.manifest.json", "fig2_classical.csv",
+                                  "fig2_star_n4.csv"]
+        real_write_text, written = Path.write_text, []
+
+        def second_write_fails(self, *args, **kwargs):
+            written.append(self)
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            return real_write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", second_write_fails)
+        capsys.readouterr()
+        rc = main(argv + ["--seed", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "fig2_classical.csv" in err and "Traceback" not in err
+        assert len(written) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_preset_rerun_byte_identical(self, tmp_path):
         for sub in ("r1", "r2"):
             rc = main(["figure", "fig4", "--out", str(tmp_path / sub),

@@ -4,11 +4,13 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import starnoma.analytic as analytic
+import starnoma.channel as channel
 import starnoma.engine as engine
 from oracles import (align_all, cascaded_gain, interference_coefficient,
                      reference_block_errors, sample_realization, sic_receive)
@@ -181,6 +183,15 @@ class TestDeterminism:
         runs = [run_ber_point(cfg, 12.0, 0, rule, seed=31, workers=w)
                 for w in (1, 2, 5)]
         assert len({(r.errors, r.trials, r.blocks) for r in runs}) == 1
+
+    def test_min_errors_point_identical_across_worker_counts(self):
+        # Stops on min_errors after several blocks, with later blocks
+        # claimed (and ended early) past the stop at 2 and 5 workers.
+        rule = StoppingRule(min_errors=200, max_trials=10**7)
+        runs = [run_ber_point(star_config(), 22.0, 1, rule, seed=7, block_size=4096,
+                              workers=w) for w in (1, 2, 5)]
+        assert runs[0].stop_reason == STOP_MIN_ERRORS and runs[0].blocks >= 3
+        assert len({repr(r) for r in runs}) == 1
 
     def test_seed_changes_result(self):
         cfg = star_config()
@@ -400,6 +411,84 @@ class TestDeterminism:
         monkeypatch.setattr(engine, "_block_errors", block_errors)
         assert run_ber_point(star_config(), 10.0, 1, rule, seed=5, block_size=256,
                              workers=4) == want
+
+    def test_each_block_is_claimed_once(self, monkeypatch):
+        # A point's tasks share one claim counter; with more tasks than
+        # cores and frequent thread switches, a lost update would run a
+        # block twice.
+        claimed, got = [], []
+
+        def block_rng(*args):
+            claimed.append(args[-1])
+            return real_block_rng(*args)
+
+        real_block_rng = engine._block_rng
+        monkeypatch.setattr(engine, "_block_rng", block_rng)
+        rule = StoppingRule(min_errors=10**9, max_trials=200 * 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: got.append(run_ber_point(
+                star_config(), 10.0, 0, rule, seed=2, block_size=64, workers=8)))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and got[0].blocks == 200
+        assert sorted(claimed) == list(range(200))
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two pool threads")
+    def test_block_past_the_stop_ends_at_its_next_cascade_chunk(self, monkeypatch):
+        # Block 0 waits until block 1 has drawn its first cascade chunk, then
+        # returns and stops the point; block 1 is held after that chunk until
+        # the stop, so it must end at its second chunk with no result.
+        cfg, m, seed = star_config(), 4096, 8
+        rule = StoppingRule(min_errors=1, max_trials=2 * m)
+        want = run_ber_point(cfg, 0.0, 1, rule, seed=seed, block_size=m)
+        chunk_words = channel._CASCADE_ROWS * cfg.users[1].elements
+        made, outcome, drawn = {}, {}, []
+        first_chunk = threading.Event()
+
+        class HeldWords:
+            # Block 1's bit generator: each draw waits for the point to stop.
+            def __init__(self, rng, stop):
+                self.rng, self.stop = rng, stop
+
+            def random_raw(self, size):
+                drawn.append(size)
+                words = self.rng.bit_generator.random_raw(size)
+                first_chunk.set()
+                assert self.stop.wait(timeout=60)
+                return words
+
+        def block_rng(*args):
+            made[args[-1]] = real_block_rng(*args)
+            return made[args[-1]]
+
+        def held(config, user, snr, rng, m, stop):
+            b = next(k for k, made_rng in made.items() if made_rng is rng)
+            if b == 1:
+                rng = SimpleNamespace(bit_generator=HeldWords(rng, stop))
+            else:
+                assert first_chunk.wait(timeout=60)
+            try:
+                outcome[b] = block_errors(config, user, snr, rng, m, stop)
+            except BaseException as exc:
+                outcome[b] = type(exc).__name__
+                raise
+            return outcome[b]
+
+        real_block_rng, block_errors = engine._block_rng, engine._block_errors
+        monkeypatch.setattr(engine, "_block_rng", block_rng)
+        monkeypatch.setattr(engine, "_block_errors", held)
+        est = run_ber_point(cfg, 0.0, 1, rule, seed=seed, block_size=m, workers=2)
+        assert est == want and est.blocks == 1 and est.stop_reason == STOP_MIN_ERRORS
+        assert outcome == {0: want.errors, 1: "BlockStopped"}
+        # Block 1 drew one chunk of words, fewer than its cascade alone needs.
+        assert drawn == [chunk_words] and chunk_words < m * cfg.users[1].elements
+        ref = real_block_rng(seed, (), 1)
+        ref.bit_generator.random_raw(chunk_words)
+        assert made[1].bit_generator.state == ref.bit_generator.state
 
 
 class TestPointEstimates:
