@@ -24,15 +24,15 @@ boundaries, so results are bit-identical for any worker count.
 A point runs at most ``workers`` blocks at once.  It submits that many
 tasks to one thread pool per process, with one thread per CPU, made at
 the first point (and again in a forked child, which has none of its
-parent's threads).  Each task claims the point's next block index and
-runs it, until the point stops; the calling thread merges the results.
-Once the point stops, no block is claimed, and a block still running
-ends at its next cascade chunk with no result.  A block that raises
-stops the claiming, and its error is raised when the merge reaches it.
-A point returns, or raises, only when every task it submitted has
-returned.  Each thread keeps its block arrays (:func:`channel.scratch`)
-at the size of the largest block it has run, so the memory of one
-block is reused by the next instead of going back to the system.
+parent's threads).  Under the point's one lock, each task merges every
+finished block next in index order, stops the point once a criterion
+fires, and only then claims and runs the next block; the calling thread
+just waits until every task has returned.  Once the point stops, no
+block is claimed, and a running block ends at its next cascade chunk
+with no result.  A block that raises stops the claiming; its error is
+raised if the merge reaches it.  Each thread keeps its block arrays
+(:func:`channel.scratch`) at the size of the largest block it has run,
+so one block's memory is reused by the next, not returned to the system.
 """
 
 from __future__ import annotations
@@ -374,17 +374,34 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
     def block_trials(b: int) -> int:
         return min(block_size, rule.max_trials - b * block_size)
 
-    finished: Dict[int, Tuple[int, Optional[BaseException]]] = {}
+    finished: Dict[int, Tuple[int, Optional[BaseException]]] = {}  # not yet merged
     unclaimed = 0  # the next block to run; n_blocks once one has failed
+    errors = trials = blocks = 0  # merged so far
+    reason: Optional[str] = None  # until a criterion fires
+    failure: Optional[BaseException] = None  # the failed block the merge reached
     stop = threading.Event()  # set once the point has stopped
-    changed = threading.Condition()
+    lock = threading.Lock()
 
     def run_blocks() -> None:
-        # One task: run the next unclaimed block until none is left or the
-        # point has stopped.
-        nonlocal unclaimed
+        # One task: merge what is next in index order, then run the next
+        # unclaimed block, until none is left or the point has stopped.
+        nonlocal unclaimed, errors, trials, blocks, reason, failure
+        b = got = None
         while True:
-            with changed:
+            with lock:
+                if b is not None:
+                    finished[b] = got
+                    if got[1] is not None:
+                        unclaimed = n_blocks
+                while not stop.is_set() and blocks in finished:
+                    n, failure = finished.pop(blocks)
+                    if failure is None:
+                        errors += n
+                        trials += block_trials(blocks)
+                        blocks += 1
+                        reason = rule.reason(errors, trials)
+                    if failure is not None or reason is not None:
+                        stop.set()  # blocks past the stop are discarded
                 b = unclaimed
                 if b >= n_blocks or stop.is_set():
                     return
@@ -394,37 +411,20 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
                                      block_trials(b), stop), None)
             except BlockStopped:
                 return  # the point has stopped, so it reads no more blocks
-            except BaseException as exc:  # raised by the merge if it reaches b
+            except BaseException as exc:  # raised by the point if the merge reaches b
                 got = (0, exc)
-            with changed:
-                finished[b] = got
-                if got[1] is not None:
-                    unclaimed = n_blocks
-                changed.notify()
 
     # At most the CPU count of the tasks run at once, on the process pool.
     tasks = [_block_pool().submit(run_blocks) for _ in range(min(n_workers, n_blocks))]
-    errors = trials = blocks = 0
-    reason = None  # until a criterion fires
     try:
-        # Merge strictly in index order; blocks past the stop are discarded.
-        while reason is None:
-            with changed:
-                while blocks not in finished:
-                    changed.wait()
-                got, exc = finished.pop(blocks)
-            if exc is not None:
-                raise exc
-            errors += got
-            trials += block_trials(blocks)
-            blocks += 1
-            reason = rule.reason(errors, trials)
+        wait(tasks)  # one wake-up, when the last task returns
     finally:
-        # No block outlives its point: claiming ends, a running block ends
-        # at its next cascade chunk, and every task returns first.
-        stop.set()
+        stop.set()  # no block outlives its point, an interrupted one too
         wait(tasks)
-
+    for task in tasks:
+        task.result()  # raises only what a task raised outside its blocks
+    if failure is not None:
+        raise failure
     return BerEstimate.from_counts(errors, trials, seed, stream_key,
                                    block_size, blocks, reason)
 

@@ -34,7 +34,7 @@ from starnoma.engine import (
     _block_rng,
     wilson_interval,
 )
-from starnoma.errors import ConfigError, InvalidParameterError
+from starnoma.errors import BlockStopped, ConfigError, InvalidParameterError
 from starnoma.noma import DETECTED, GENIE
 
 # Single-seed interval checks use z=4 (two-sided miss rate 6e-5) rather
@@ -280,9 +280,9 @@ class TestDeterminism:
                 assert got.bit_generator.state == want.bit_generator.state, (user, m)
 
     def test_pool_holds_at_most_the_cpu_count_of_threads(self, monkeypatch):
-        # A wave is ``workers`` blocks long, but every point's blocks run on
-        # one process pool of at most the CPU count of threads, so only that
-        # many blocks run (and hold their arrays) at once.
+        # A point submits ``workers`` pull tasks, but every point's tasks run
+        # on one process pool of at most the CPU count of threads, so only
+        # that many blocks run (and hold their arrays) at once.
         cpus = os.cpu_count() or 1
         threads, running, peak = set(), [0], [0]
         lock = threading.Lock()
@@ -311,7 +311,7 @@ class TestDeterminism:
 
     def test_concurrent_points_share_the_pool_not_the_arrays(self):
         # Points run from several threads at once share the process pool,
-        # with more blocks per wave than cores; each pool thread's block
+        # with more pull tasks per point than cores; each pool thread's block
         # arrays are its own, so every estimate is the one-thread estimate.
         cases = [(star_config(same_zone=True), 12.0, 0), (star_config(), 6.0, 1),
                  (presets.fig5((4, 6, 8)).runs[0].config, 20.0, 2)]
@@ -381,8 +381,9 @@ class TestDeterminism:
         assert got == want
 
     def test_block_failure_raises_from_its_own_point(self, monkeypatch):
-        # A block that raises mid-wave fails its point only after every
-        # block that point started has finished; the next point is unharmed.
+        # A block that raises while the other tasks pull blocks fails its
+        # point only after every block that point started has finished; the
+        # next point is unharmed.
         rule = StoppingRule(min_errors=10**9, max_trials=8 * 256)
         want = run_ber_point(star_config(), 10.0, 1, rule, seed=5, block_size=256,
                              workers=4)
@@ -413,18 +414,19 @@ class TestDeterminism:
                              workers=4) == want
 
     def test_each_block_is_claimed_once(self, monkeypatch):
-        # A point's tasks share one claim counter; with more tasks than
-        # cores and frequent thread switches, a lost update would run a
-        # block twice.
+        # A point's tasks share one claim counter and the merged counts;
+        # with more tasks than cores and frequent thread switches, a lost
+        # update would run a block twice or drop a block's errors.
         claimed, got = [], []
 
         def block_rng(*args):
             claimed.append(args[-1])
             return real_block_rng(*args)
 
+        rule = StoppingRule(min_errors=10**9, max_trials=200 * 64)
+        want = run_ber_point(star_config(), 10.0, 0, rule, seed=2, block_size=64)
         real_block_rng = engine._block_rng
         monkeypatch.setattr(engine, "_block_rng", block_rng)
-        rule = StoppingRule(min_errors=10**9, max_trials=200 * 64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -434,8 +436,35 @@ class TestDeterminism:
             caller.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not caller.is_alive() and got[0].blocks == 200
+        assert not caller.is_alive() and got[0] == want and want.blocks == 200
         assert sorted(claimed) == list(range(200))
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_point_starts_no_block_past_its_stop_but_those_in_flight(self, monkeypatch,
+                                                                     workers):
+        # Block 0 alone meets min_errors, and every later block holds until
+        # the point stops.  The task that merges block 0 stops the point
+        # before it claims again, so past the stop only the blocks already
+        # running on the other tasks start: at most one per pool thread.
+        started = []
+
+        def block_rng(seed, stream_key, b):
+            started.append(b)
+            return b  # the block's generator is its index, which ``held`` reads
+
+        def held(config, user, snr, b, m, stop):
+            if b == 0:
+                return m
+            assert stop.wait(timeout=60)
+            raise BlockStopped
+
+        monkeypatch.setattr(engine, "_block_rng", block_rng)
+        monkeypatch.setattr(engine, "_block_errors", held)
+        est = run_ber_point(star_config(), 10.0, 0, StoppingRule(min_errors=1),
+                            seed=6, block_size=256, workers=workers)
+        assert (est.blocks, est.errors, est.stop_reason) == (1, 256, STOP_MIN_ERRORS)
+        assert sorted(started) == list(range(len(started)))
+        assert len(started) <= est.blocks + min(workers, os.cpu_count() or 1) - 1
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two pool threads")
     def test_block_past_the_stop_ends_at_its_next_cascade_chunk(self, monkeypatch):
