@@ -30,8 +30,10 @@ Exit codes: 0 success, 1 validation failure (including NaN or infinite
 input), 2 runtime/numeric failure.  Every output, the manifest included,
 is checked before the first Monte Carlo block.  Once every run has
 finished, each output is written to a temporary file, and the files are
-renamed into place only when all of them are written, so a failed run or
-a failed write leaves earlier outputs untouched; a failed write exits 2
+renamed into place only when all of them are written; a rename that fails
+puts back the outputs it had replaced.  So after a failed run, write or
+rename the directory holds the complete old set of outputs, and after a
+successful one the complete new set; a failed write or rename exits 2
 naming the path.  A command whose runs would write one file twice exits
 1 naming it.
 """
@@ -93,7 +95,7 @@ def _section(name: str, raw, allowed: Sequence[str], required: Sequence[str]) ->
 def _schema(cls) -> Tuple[List[str], List[str]]:
     """The allowed and required field names of a config dataclass's section;
     ``users`` is a section of its own."""
-    names = [f for f in fields(cls) if f.name != "users"]
+    names = [f for f in fields(cls) if f.init and f.name != "users"]
     return ([f.name for f in names],
             [f.name for f in names if f.default is MISSING])
 
@@ -308,13 +310,43 @@ def _writing(path: Path) -> Iterator[None]:
         raise StarNomaError(f"cannot write {path}: {exc}") from exc
 
 
+def _replace_all(targets: Sequence[Path], temps: Sequence[Path]) -> None:
+    """Rename each of ``temps`` onto its target, in order, all or none: if a
+    rename fails, each target already replaced gets back its old file (a hard
+    link taken before the first rename) or, if it had none, is removed."""
+    olds = [path.with_name(f".{path.name}.{os.getpid()}.old") for path in targets]
+    try:
+        kept: List[Optional[Path]] = []
+        for path, old in zip(targets, olds):
+            with _writing(path):
+                try:
+                    os.link(path, old, follow_symlinks=False)
+                except FileNotFoundError:  # a new output
+                    old = None
+            kept.append(old)
+        for i, (path, tmp) in enumerate(zip(targets, temps)):
+            try:
+                with _writing(path):
+                    os.replace(tmp, path)
+            except BaseException:  # a failed rename or an interrupt
+                for done, old in zip(targets[:i], kept):
+                    if old is None:
+                        done.unlink()
+                    else:
+                        os.replace(old, done)
+                raise
+    finally:
+        for old in olds:
+            old.unlink(missing_ok=True)
+
+
 def _run_and_write(args, runs: Sequence[presets.FigureRun], paths: Sequence[Path],
                    manifest: Path, write) -> int:
     """Run every sweep, then write each result with ``write`` and the
     manifest, each to a temporary file beside its path, and rename them into
-    place, the manifest last, only once every one is written.  So a failed
-    run or write leaves earlier outputs as they were.  A named run's notes
-    carry its name."""
+    place, the manifest last, only once every one is written.  So after a
+    failed run, write or rename the directory holds the complete old set of
+    outputs.  A named run's notes carry its name."""
     results, rule, workers = _run(args, runs, [*paths, manifest])
     notes: List[str] = []
     for run, result in zip(runs, results):
@@ -328,13 +360,12 @@ def _run_and_write(args, runs: Sequence[presets.FigureRun], paths: Sequence[Path
         with _writing(manifest):
             write_manifest(temps[-1], [config_hash(run.config) for run in runs],
                            args.seed, paths, notes, rule, workers)
-        for path, tmp in zip(targets, temps):
-            with _writing(path):
-                os.replace(tmp, path)
-            print(f"wrote {path}")
+        _replace_all(targets, temps)
     finally:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
+    for path in targets:
+        print(f"wrote {path}")
     return 0
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import analytic
@@ -105,6 +105,7 @@ class ScenarioConfig:
     transmit_power: float = 1.0
     sic_mode: str = GENIE
     classical_exponent: float = 2.0
+    _allocation: PowerAllocation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         checked = {
@@ -126,6 +127,7 @@ class ScenarioConfig:
                                     [u.power_coefficient for u in self.users])
         checked["users"] = tuple(UserSpec(power_coefficient=a, **u)
                                  for u, a in zip(users, coeffs))
+        checked["_allocation"] = PowerAllocation(coeffs, checked["transmit_power"])
         for i, u in enumerate(users):
             if checked["variant"] == CLASSICAL_VARIANT and u["classical_distance"] is None:
                 raise ConfigError(f"users[{i}].classical_distance is required "
@@ -138,8 +140,8 @@ class ScenarioConfig:
         return len(self.users)
 
     def power_allocation(self) -> PowerAllocation:
-        return PowerAllocation(tuple(u.power_coefficient for u in self.users),
-                               self.transmit_power)
+        """The users' power split, built once from the checked coefficients."""
+        return self._allocation
 
     def bs_gain(self) -> float:
         """Per-element gain of the BS-surface hop."""
@@ -168,7 +170,7 @@ class ScenarioConfig:
             raise ConfigError("analytic parameters exist for the surface variant only")
         return UserAnalyticParams(
             index=user,
-            alloc=self.power_allocation(),
+            alloc=self._allocation,
             overall_gain=self.overall_gain(user),
             own_elements=self.users[user].elements,
             zone_elements=self.zone_elements(user),
@@ -246,31 +248,30 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[floa
 
 @dataclass(frozen=True)
 class BerEstimate:
-    """Point estimate, binomial interval, provenance and what stopped it (``STOP_*``)."""
+    """A run's counts, provenance and what stopped it (``STOP_*``); the point
+    estimate ``ber`` and its Wilson interval are derived from the counts."""
 
     errors: int
     trials: int
-    ber: float
-    ci_low: float
-    ci_high: float
     seed: int
     stream_key: Tuple[int, ...]
     block_size: int
     blocks: int
     stop_reason: str
+    ber: float = field(init=False)
+    ci_low: float = field(init=False)
+    ci_high: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        lo, hi = wilson_interval(self.errors, self.trials)
+        object.__setattr__(self, "ber", self.errors / self.trials)
+        object.__setattr__(self, "ci_low", lo)
+        object.__setattr__(self, "ci_high", hi)
 
     @property
     def underflow(self) -> bool:
         """No errors observed, so the interval is one-sided."""
         return self.errors == 0
-
-    @staticmethod
-    def from_counts(errors: int, trials: int, seed: int,
-                    stream_key: Tuple[int, ...], block_size: int,
-                    blocks: int, stop_reason: str) -> "BerEstimate":
-        lo, hi = wilson_interval(errors, trials)
-        return BerEstimate(errors, trials, errors / trials, lo, hi,
-                           seed, stream_key, block_size, blocks, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +426,7 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
         task.result()  # raises only what a task raised outside its blocks
     if failure is not None:
         raise failure
-    return BerEstimate.from_counts(errors, trials, seed, stream_key,
-                                   block_size, blocks, reason)
+    return BerEstimate(errors, trials, seed, stream_key, block_size, blocks, reason)
 
 
 def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,
@@ -472,7 +472,6 @@ class SweepResult:
     values: Tuple[float, ...]
     users: Tuple[int, ...]
     cells: Tuple[SweepCell, ...]
-    seed: int
     warnings: Tuple[str, ...] = ()
 
 
@@ -583,4 +582,4 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
                 notes = notes + (f"no errors observed in {est.trials} trials; "
                                  "interval is one-sided",)
             cells.append(SweepCell(value, user, est, closed, numeric, asym, notes))
-    return SweepResult(axis, vals, user_list, tuple(cells), seed, warn)
+    return SweepResult(axis, vals, user_list, tuple(cells), warn)

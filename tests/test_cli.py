@@ -342,6 +342,38 @@ class TestFigureCommand:
         assert len(written) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("rerun", [True, False])
+    def test_failed_rename_restores_every_old_file(self, tmp_path, monkeypatch,
+                                                   capsys, rerun):
+        # The second rename fails after fig2_star_n4.csv has been replaced:
+        # that output gets its old bytes back (or, on a first run, is
+        # removed), the manifest still records seed 1, and no temporary or
+        # kept-back file is left.
+        out = tmp_path / "f2"
+        argv = ["figure", "fig2", "--out", str(out), "--snr-values", "0",
+                "--elements", "4", "--min-errors", "10", "--max-trials", "1000"]
+        if rerun:
+            assert main(argv + ["--seed", "1"]) == 0
+        else:
+            out.mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_replace, renamed = os.replace, []
+
+        def second_rename_fails(src, dst, *args, **kwargs):
+            renamed.append(Path(dst).name)
+            if len(renamed) == 2:
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", second_rename_fails)
+        capsys.readouterr()
+        rc = main(argv + ["--seed", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and "fig2_classical.csv" in captured.err
+        assert "Traceback" not in captured.err and "wrote" not in captured.out
+        assert renamed[:2] == ["fig2_star_n4.csv", "fig2_classical.csv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_preset_rerun_byte_identical(self, tmp_path):
         for sub in ("r1", "r2"):
             rc = main(["figure", "fig4", "--out", str(tmp_path / sub),

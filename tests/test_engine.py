@@ -3,7 +3,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +17,7 @@ from oracles import (align_all, cascaded_gain, interference_coefficient,
 from starnoma import presets
 from starnoma.engine import (
     CLASSICAL_VARIANT,
+    SNR_AXIS,
     STAR_VARIANT,
     STOP_CI_WIDTH,
     STOP_MAX_TRIALS,
@@ -35,7 +36,7 @@ from starnoma.engine import (
     wilson_interval,
 )
 from starnoma.errors import BlockStopped, ConfigError, InvalidParameterError
-from starnoma.noma import DETECTED, GENIE
+from starnoma.noma import DETECTED, GENIE, PowerAllocation
 
 # Single-seed interval checks use z=4 (two-sided miss rate 6e-5) rather
 # than 95%, which misses one seed in twenty on a correct sampler.  Their
@@ -134,6 +135,30 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(InvalidParameterError):
             wilson_interval(7, 5)
+
+
+class TestBerEstimate:
+    """An estimate is its counts: the rate and interval are derived from them."""
+
+    @pytest.mark.parametrize("errors, trials", [(0, 100), (7, 1000), (25, 25)])
+    def test_rate_and_interval_are_the_counts(self, errors, trials):
+        est = BerEstimate(errors, trials, 0, (), trials, 1, STOP_MAX_TRIALS)
+        assert est.ber == errors / trials
+        assert (est.ci_low, est.ci_high) == wilson_interval(errors, trials)
+
+    def test_takes_only_what_a_run_produced(self):
+        assert [f.name for f in fields(BerEstimate) if f.init] == [
+            "errors", "trials", "seed", "stream_key", "block_size", "blocks",
+            "stop_reason"]
+        for derived in ("ber", "ci_low", "ci_high"):
+            with pytest.raises(TypeError):
+                BerEstimate(7, 1000, 0, (), 1000, 1, STOP_MAX_TRIALS, **{derived: 0.5})
+
+    def test_refuses_counts_with_no_rate(self):
+        with pytest.raises(InvalidParameterError):
+            BerEstimate(7, 5, 0, (), 5, 1, STOP_MAX_TRIALS)
+        with pytest.raises(InvalidParameterError):
+            BerEstimate(0, 0, 0, (), 5, 0, STOP_MAX_TRIALS)
 
 
 # The configs whose block kernel is checked draw for draw.
@@ -521,6 +546,26 @@ class TestDeterminism:
 
 
 class TestPointEstimates:
+    def test_config_builds_the_only_power_split(self, monkeypatch):
+        # A config builds its power split once; a point's blocks and a
+        # sweep's analytic columns read that object and build none.
+        built = []
+        post_init = PowerAllocation.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PowerAllocation, "__post_init__", counted)
+        cfg = star_config(n1=4, n2=4, sic_mode=DETECTED)
+        assert len(built) == 1 and built[0] is cfg.power_allocation()
+        built.clear()
+        rule = StoppingRule(min_errors=10**9, max_trials=4 * 1024)
+        est = run_ber_point(cfg, 10.0, 1, rule, block_size=1024, workers=2)
+        assert est.blocks == 4
+        run_sweep(cfg, SNR_AXIS, [0.0, 10.0], [0, 1], rule)
+        assert built == []
+
     def test_noise_dominated_limit(self):
         # The 95% form stopped after one 65536-trial block.
         cfg = star_config()

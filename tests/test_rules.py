@@ -250,11 +250,11 @@ class TestConstructorsRefuseNonFinite:
         assert blocks == []
 
     def test_underflow_is_derived_from_errors(self):
-        est = BerEstimate.from_counts(0, 100, 0, (), 100, 1, "max_trials")
+        est = BerEstimate(0, 100, 0, (), 100, 1, "max_trials")
         assert est.underflow
-        assert not BerEstimate.from_counts(3, 100, 0, (), 100, 1, "max_trials").underflow
+        assert not BerEstimate(3, 100, 0, (), 100, 1, "max_trials").underflow
         with pytest.raises(TypeError):
-            BerEstimate.from_counts(0, 100, 0, (), 100, 1, "max_trials", underflow=False)
+            BerEstimate(0, 100, 0, (), 100, 1, "max_trials", underflow=False)
 
 
 class TestCommandLineDefects:
