@@ -28,14 +28,16 @@ that does not increase, fig5 counts that are not three) is reported
 under the option that gave it.  ``--seed`` must be an integer >= 0.
 Exit codes: 0 success, 1 validation failure (including NaN or infinite
 input), 2 runtime/numeric failure.  Every output, the manifest included,
-is checked before the first Monte Carlo block.  Once every run has
-finished, each output is written to a temporary file, and the files are
-renamed into place only when all of them are written; a rename that fails
-puts back the outputs it had replaced.  So after a failed run, write or
-rename the directory holds the complete old set of outputs, and after a
-successful one the complete new set; a failed write or rename exits 2
-naming the path.  A command whose runs would write one file twice exits
-1 naming it.
+is checked before the first Monte Carlo block: a new one must be
+creatable and an existing one hard-linkable, so on a filesystem without
+hard links a rerun over existing outputs exits 1 (a fresh directory
+works).  Once every run has finished, each output is written to a
+temporary file, each existing one is hard-linked to keep it, and then the
+files are renamed into place; a failed step puts back the outputs already
+replaced.  So after a failed run, write, link or rename the directory
+holds the complete old set of outputs, and after a successful one the
+complete new set; a failed write, link or rename exits 2 naming the path.
+A command whose runs would write one file twice exits 1 naming it.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, presets
 from .engine import (
@@ -239,14 +240,19 @@ def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
 
 
 def _check_writable(path: Path) -> None:
-    """Fail before any computation if ``path`` cannot be written; the probe
-    is a file beside it, so an existing output stays as it is."""
+    """Fail before any computation if the commit could not replace ``path``:
+    an existing output must take the hard link that keeps it until its new
+    file is in place, and a new one must be creatable.  The probe is a file
+    beside ``path``, so an existing output stays as it is."""
     probe = path.with_name(f".{path.name}.{os.getpid()}.probe")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise IsADirectoryError(f"{path} is a directory")
-        probe.touch()
+        if os.path.lexists(path):
+            os.link(path, probe, follow_symlinks=False)
+        else:
+            probe.touch()
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output path {path} is not writable: {exc}") from exc
@@ -301,69 +307,47 @@ def _run(args, runs: Sequence[presets.FigureRun],
     return results, rule, workers
 
 
-@contextmanager
-def _writing(path: Path) -> Iterator[None]:
-    """A failed write inside is a runtime error naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise StarNomaError(f"cannot write {path}: {exc}") from exc
-
-
-def _replace_all(targets: Sequence[Path], temps: Sequence[Path]) -> None:
-    """Rename each of ``temps`` onto its target, in order, all or none: if a
-    rename fails, each target already replaced gets back its old file (a hard
-    link taken before the first rename) or, if it had none, is removed."""
-    olds = [path.with_name(f".{path.name}.{os.getpid()}.old") for path in targets]
-    try:
-        kept: List[Optional[Path]] = []
-        for path, old in zip(targets, olds):
-            with _writing(path):
-                try:
-                    os.link(path, old, follow_symlinks=False)
-                except FileNotFoundError:  # a new output
-                    old = None
-            kept.append(old)
-        for i, (path, tmp) in enumerate(zip(targets, temps)):
-            try:
-                with _writing(path):
-                    os.replace(tmp, path)
-            except BaseException:  # a failed rename or an interrupt
-                for done, old in zip(targets[:i], kept):
-                    if old is None:
-                        done.unlink()
-                    else:
-                        os.replace(old, done)
-                raise
-    finally:
-        for old in olds:
-            old.unlink(missing_ok=True)
-
-
 def _run_and_write(args, runs: Sequence[presets.FigureRun], paths: Sequence[Path],
                    manifest: Path, write) -> int:
-    """Run every sweep, then write each result with ``write`` and the
-    manifest, each to a temporary file beside its path, and rename them into
-    place, the manifest last, only once every one is written.  So after a
-    failed run, write or rename the directory holds the complete old set of
-    outputs.  A named run's notes carry its name."""
-    results, rule, workers = _run(args, runs, [*paths, manifest])
+    """Run every sweep, then replace the outputs in one transaction: write
+    each result with ``write``, and the manifest, to a temporary file beside
+    its path; hard-link each existing output to a kept-back file; rename the
+    temporary files into place, the manifest last.  A failure or interrupt
+    at any step puts back the old file of each output already renamed, or
+    removes it if it had none, so the directory holds the complete old set
+    of outputs or the complete new one.  A named run's notes carry its name."""
+    targets = [*paths, manifest]
+    results, rule, workers = _run(args, runs, targets)
     notes: List[str] = []
     for run, result in zip(runs, results):
         notes.extend(f"{run.name}: {n}" if run.name else n for n in collect_notes(result))
-    targets = [*paths, manifest]
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
-    try:
-        for result, path, tmp in zip(results, paths, temps):
-            with _writing(path):
-                write(result, tmp)
-        with _writing(manifest):
-            write_manifest(temps[-1], [config_hash(run.config) for run in runs],
-                           args.seed, paths, notes, rule, workers)
-        _replace_all(targets, temps)
+    temps, olds = ([path.with_name(f".{path.name}.{os.getpid()}.{kind}") for path in targets]
+                   for kind in ("tmp", "old"))
+    renamed: List[Path] = []
+    try:  # ``path`` is the output being written, linked or renamed
+        for path, result, tmp in zip(paths, results, temps):
+            write(result, tmp)
+        path = manifest
+        write_manifest(temps[-1], [config_hash(run.config) for run in runs],
+                       args.seed, paths, notes, rule, workers)
+        for path, old in zip(targets, olds):
+            if os.path.lexists(path):
+                os.link(path, old, follow_symlinks=False)
+        for path, tmp in zip(targets, temps):
+            os.replace(tmp, path)
+            renamed.append(path)
+    except BaseException as exc:  # a failed step or an interrupt
+        for done, old in zip(renamed, olds):
+            if os.path.lexists(old):
+                os.replace(old, done)
+            else:
+                done.unlink()
+        if isinstance(exc, OSError):
+            raise StarNomaError(f"cannot write {path}: {exc}") from exc
+        raise
     finally:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
+        for leftover in temps + olds:
+            leftover.unlink(missing_ok=True)
     for path in targets:
         print(f"wrote {path}")
     return 0

@@ -374,6 +374,57 @@ class TestFigureCommand:
         assert renamed[:2] == ["fig2_star_n4.csv", "fig2_classical.csv"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    # The commit's steps in order: each output, the manifest last, is
+    # written to its temporary file, then each existing one is hard-linked
+    # to a kept-back file, then each is renamed into place.
+    OUTPUTS = ("fig2_star_n4.csv", "fig2_classical.csv", "fig2.manifest.json")
+    COMMIT_FAULTS = [(rerun, step, i) for rerun in (True, False)
+                     for step in ("write", "link", "replace") for i in range(3)
+                     if rerun or step != "link"]  # a first run takes no link
+
+    @pytest.mark.parametrize("rerun,step,index", COMMIT_FAULTS)
+    def test_fault_at_each_commit_step(self, tmp_path, monkeypatch, capsys,
+                                       rerun, step, index):
+        # A full disk at any write, link or rename of the commit exits 2
+        # naming that output, with no traceback; the directory is byte for
+        # byte as before, and no temporary, kept-back or probe file is left.
+        out = tmp_path / "f2"
+        argv = ["figure", "fig2", "--out", str(out), "--snr-values", "0",
+                "--elements", "4", *fast_args()]
+        if rerun:
+            assert main(argv + ["--seed", "1"]) == 0
+        else:
+            out.mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        seen = []
+
+        def failing(real, is_commit_step):
+            def call(*args, **kwargs):
+                if is_commit_step(*args):
+                    seen.append(args)
+                    if len(seen) == index + 1:
+                        raise OSError(28, "No space left on device")
+                return real(*args, **kwargs)
+            return call
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_text",
+                                failing(Path.write_text, lambda *a: True))
+        elif step == "link":
+            monkeypatch.setattr(os, "link", failing(
+                os.link, lambda src, dst: str(dst).endswith(".old")))
+        else:
+            monkeypatch.setattr(os, "replace", failing(
+                os.replace, lambda src, dst: str(src).endswith(".tmp")))
+        capsys.readouterr()
+        rc = main(argv + ["--seed", "2"])
+        captured = capsys.readouterr()
+        assert len(seen) == index + 1
+        assert rc == 2 and self.OUTPUTS[index] in captured.err
+        assert "Traceback" not in captured.err and "wrote" not in captured.out
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
     def test_preset_rerun_byte_identical(self, tmp_path):
         for sub in ("r1", "r2"):
             rc = main(["figure", "fig4", "--out", str(tmp_path / sub),

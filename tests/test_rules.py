@@ -5,8 +5,10 @@ The command-line tests count Monte Carlo blocks through a patched
 ``engine._block_errors``: a rejected input must fail before any block runs.
 """
 
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -649,6 +651,28 @@ def test_blocked_manifest_fails_before_the_first_block(command, tmp_path, capsys
     assert rc == 1 and str(manifest) in err and blocks == []
     assert len(before) == (1 if command == "sweep" else 2)
     assert {p: p.read_bytes() for p in tmp_path.rglob("*.csv")} == before
+
+
+def test_rerun_without_hard_links_fails_before_the_first_block(tmp_path, capsys,
+                                                              monkeypatch, request):
+    # The commit keeps each existing output by a hard link until its new file
+    # is in place.  On a filesystem without hard links (FAT, many SMB and FUSE
+    # mounts) a rerun over existing outputs exits 1 naming the first of them,
+    # runs no block and leaves every old file; a first run needs no link.
+    def no_hard_links(*args, **kwargs):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    argv = ["figure", "fig2", "--elements", "4", "--snr-values", "0", *FAST, "--out"]
+    out = tmp_path / "f2"
+    assert run_cli(argv + [str(out)], capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(os, "link", no_hard_links)
+    assert run_cli(argv + [str(tmp_path / "fresh")], capsys)[0] == 0
+    blocks = request.getfixturevalue("blocks")
+    rc, err = run_cli(argv + [str(out), "--seed", "1"], capsys)
+    assert rc == 1 and str(out / "fig2_star_n4.csv") in err and blocks == []
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @PROPERTY
