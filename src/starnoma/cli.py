@@ -25,7 +25,9 @@ takes the options its preset has parameters for: fig2 and fig5
 ``--allocations`` and ``--elements``, fig5 ``--elements``, and any other
 option is an error.  A value the preset refuses (an SNR or element grid
 that does not increase, fig5 counts that are not three) is reported
-under the option that gave it.  ``--seed`` must be an integer >= 0.
+under the option that gave it; ``sweep`` names a refused value, or a
+missing fixed SNR, by the option or ``sweep`` field it came from.
+``--seed`` must be an integer >= 0.
 Exit codes: 0 success, 1 validation failure (including NaN or infinite
 input), 2 runtime/numeric failure.  Every output, the manifest included,
 is checked before the first Monte Carlo block: a new one must be
@@ -46,7 +48,6 @@ import argparse
 import hashlib
 import inspect
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -60,6 +61,7 @@ from .engine import (
     SNR_AXIS,
     ScenarioConfig,
     StoppingRule,
+    SweepCell,
     SweepResult,
     UserSpec,
     run_sweep,
@@ -166,42 +168,32 @@ def config_hash(config: ScenarioConfig) -> str:
 
 
 def _fmt_ber(x: Optional[float]) -> str:
-    if x is None:
-        return "no-floor"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.12e}"
+    return "no-floor" if x is None else f"{x:.12e}"  # NaN formats as "nan"
 
 
 def _fmt_axis(x: float) -> str:
     return f"{x:.10g}"
 
 
-def sweep_rows(result: SweepResult) -> List[Tuple]:
-    rows = []
-    for cell in result.cells:
-        est = cell.estimate
-        rows.append((
-            _fmt_axis(cell.axis_value), cell.user + 1, _fmt_ber(est.ber),
-            _fmt_ber(est.ci_low), _fmt_ber(est.ci_high),
-            _fmt_ber(cell.ber_closed_form), _fmt_ber(cell.ber_numeric),
-            _fmt_ber(cell.ber_asymptotic), est.trials, est.errors,
-        ))
-    return rows
+def _row(cell: SweepCell) -> Dict[str, object]:
+    """One cell's output fields: the CSV reads those in ``CSV_HEADER``, a
+    JSON row is all of them, with every analytic route in table order."""
+    est = cell.estimate
+    return {"axis_value": _fmt_axis(cell.axis_value), "user": cell.user + 1,
+            "ber_mc": _fmt_ber(est.ber), "ci_low": _fmt_ber(est.ci_low),
+            "ci_high": _fmt_ber(est.ci_high),
+            **{name: _fmt_ber(value) for name, value in cell.routes},
+            "trials": est.trials, "errors": est.errors, "stop_reason": est.stop_reason}
 
 
 def write_sweep_csv(result: SweepResult, path: Path) -> None:
-    lines = [CSV_HEADER]
-    for row in sweep_rows(result):
-        lines.append(",".join(str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows = [",".join(str(row[name]) for name in CSV_HEADER.split(","))
+            for row in map(_row, result.cells)]
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
 
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:
-    header = CSV_HEADER.split(",")
-    rows = [dict(zip(header, row), stop_reason=cell.estimate.stop_reason)
-            for row, cell in zip(sweep_rows(result), result.cells)]
-    doc = {"axis": result.axis, "rows": rows}
+    doc = {"axis": result.axis, "rows": [_row(cell) for cell in result.cells]}
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -287,6 +279,15 @@ def _user_indices(name: str, users_1based: Optional[Sequence[int]],
                                for i, u in enumerate(users_1based)], n_users)
 
 
+def _renamed(exc: ConfigError, names: Dict[str, str]) -> ConfigError:
+    """``exc`` with the field its message starts with, a key of ``names``,
+    replaced by that key's value: the option that gave the refused value."""
+    for field, option in names.items():
+        if str(exc).startswith(field):
+            return ConfigError(option + str(exc)[len(field):])
+    return exc
+
+
 def _run(args, runs: Sequence[presets.FigureRun],
          outputs: Sequence[Path] = ()) -> Tuple[List[SweepResult], StoppingRule, int]:
     """The one path from the command line to ``run_sweep``: check the run
@@ -363,13 +364,11 @@ def cmd_point(args) -> int:
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for cell in result.cells:
-        est = cell.estimate
-        print(f"user={cell.user + 1} ber_mc={_fmt_ber(est.ber)} "
-              f"ci95=[{_fmt_ber(est.ci_low)},{_fmt_ber(est.ci_high)}] "
-              f"ber_closed_form={_fmt_ber(cell.ber_closed_form)} "
-              f"ber_numeric={_fmt_ber(cell.ber_numeric)} "
-              f"ber_asymptotic={_fmt_ber(cell.ber_asymptotic)} "
-              f"trials={est.trials} errors={est.errors} stop={est.stop_reason}")
+        row = _row(cell)
+        routes = "".join(f"{name}={row[name]} " for name, _ in cell.routes)
+        print(f"user={row['user']} ber_mc={row['ber_mc']} "
+              f"ci95=[{row['ci_low']},{row['ci_high']}] {routes}"
+              f"trials={row['trials']} errors={row['errors']} stop={row['stop_reason']}")
         for note in cell.notes:
             print(f"note: {note}", file=sys.stderr)
     return 0
@@ -378,17 +377,28 @@ def cmd_point(args) -> int:
 def cmd_sweep(args) -> int:
     config, section = load_config(args.config)
     section = section or {}
-    name, users_1based = (("--users", args.users) if args.users is not None
-                          else ("sweep.users", section.get("users")))
-    # Options override the sweep section; the unnamed run's notes go unprefixed.
-    run = presets.FigureRun(
-        "", config, args.axis or section.get("axis"),
-        args.values if args.values is not None else section.get("values", ()),
-        _user_indices(name, users_1based, config.n_users),
-        args.snr_db if args.snr_db is not None else section.get("snr_db"))
+
+    def pick(field: str, option: str):
+        # An option overrides the sweep section's field; either names the value.
+        value = getattr(args, field)
+        return (option, value) if value is not None else (f"sweep.{field}", section.get(field))
+
+    axis_name, axis = pick("axis", "--axis")
+    values_name, values = pick("values", "--values")
+    users_name, users = pick("users", "--users")
+    snr_name, snr_db = pick("snr_db", "--snr-db")
+    if snr_db is None and args.axis is not None:
+        snr_name = "--snr-db"  # the fixed SNR an --axis sweep may need
+    # The unnamed run's notes go unprefixed.
+    run = presets.FigureRun("", config, axis, values or (),
+                            _user_indices(users_name, users, config.n_users), snr_db)
     out = Path(args.out)
-    return _run_and_write(args, [run], [out], out.with_name(out.name + ".manifest.json"),
-                          write_sweep_csv if args.format == "csv" else write_sweep_json)
+    try:
+        return _run_and_write(args, [run], [out], out.with_name(out.name + ".manifest.json"),
+                              write_sweep_csv if args.format == "csv" else write_sweep_json)
+    except ConfigError as exc:  # refused by run_sweep, which names the sweep fields
+        raise _renamed(exc, {"sweep.axis": axis_name, "sweep.values": values_name,
+                             "sweep.snr_db": snr_name}) from None
 
 
 def _each(rule):
@@ -428,11 +438,8 @@ def _figure_plan(args) -> presets.FigurePlan:
         return preset(**given)
     except ConfigError as exc:
         # A preset names a bad argument "<figure> <parameter>"; name its option.
-        for option, _, param, _ in _FIGURE_OPTIONS:
-            prefix = f"{args.name} {param} "
-            if str(exc).startswith(prefix):
-                raise ConfigError(option + " " + str(exc)[len(prefix):]) from None
-        raise
+        raise _renamed(exc, {f"{args.name} {param}": option
+                             for option, _, param, _ in _FIGURE_OPTIONS}) from None
 
 
 def cmd_figure(args) -> int:

@@ -455,14 +455,13 @@ def run_classical_point(config: ScenarioConfig, snr_db: float, user: int,
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (axis value, user) result with its aligned analytic values."""
+    """One (axis value, user) result; ``routes`` holds a (name, value) pair
+    per row of :data:`ANALYTIC_ROUTES`, in table order."""
 
     axis_value: float
     user: int
     estimate: BerEstimate
-    ber_closed_form: float
-    ber_numeric: float
-    ber_asymptotic: Optional[float]  # None means no floor exists
+    routes: Tuple[Tuple[str, Optional[float]], ...]
     notes: Tuple[str, ...] = ()
 
 
@@ -493,55 +492,80 @@ def _config_at(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfi
     return replace(config, users=users)
 
 
-def _analytic_cell(config: ScenarioConfig, user: int, snr: float
-                   ) -> Tuple[float, float, Optional[float], Tuple[str, ...]]:
-    # snr is the linear SNR that run_sweep has checked.
-    nan = float("nan")
-    if config.variant != STAR_VARIANT:
-        return nan, nan, None, ()
-    params = config.analytic_params(user)
-    # Detected-mode cancellation has its own analytic combination, derived
-    # for two users; the non-cancelling user's value is mode-independent.
-    detected = config.sic_mode == DETECTED and user > 0
-    if detected and config.n_users != 2:
-        return nan, nan, nan, ("detected-SIC analytics are derived for two users only",)
-    notes: List[str] = []
+# ---------------------------------------------------------------------------
+# analytic routes: each takes the cell's params (None on the classical
+# baseline), the detected-SIC first stage (None unless the user cancels a
+# detected symbol) and the SNR, and returns a BER or None (no error floor);
+# a refusal raises InvalidParameterError whose message is the cell's note.
 
-    def or_nan(note: str, route, *args) -> float:
-        # A route the model does not cover gives NaN and a note saying why.
-        try:
-            return route(*args)
-        except InvalidParameterError as exc:
-            notes.append(f"{note}: {exc}")
-            return nan
 
-    if detected:
-        params_x1 = replace(params, index=0)
-        closed = or_nan("imperfect-SIC closed form unavailable",
-                        analytic.ber_imperfect_sic, params, params_x1, snr)
-        numeric = analytic.imperfect_sic_mixture(
-            analytic.ber_numeric(params, snr), 1.0 - analytic.ber_numeric(params_x1, snr))
-    else:
-        closed = or_nan(f"closed form unavailable for user {user + 1}",
+def _refused(note: str, route, *args) -> float:
+    try:
+        return route(*args)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{note}: {exc}") from None
+
+
+def _covered(params: Optional[UserAnalyticParams], stage) -> bool:
+    if stage is not None and params.n_users != 2:
+        raise InvalidParameterError("detected-SIC analytics are derived for two users only")
+    return params is not None
+
+
+def _closed_form(params, stage, snr: float) -> float:
+    if not _covered(params, stage):
+        return math.nan
+    if stage is None:
+        return _refused(f"closed form unavailable for user {params.index + 1}",
                         analytic.ber_closed_form, params, snr)
-        numeric = analytic.ber_numeric(params, snr)
-    if params.co_zone_elements == 0:
-        asym: Optional[float] = None  # a sole occupant's error rate has no floor
-    elif detected:
-        asym = nan
-        notes.append("no high-SNR limit derived for detected SIC with "
-                     "subsurface interference")
-    else:
-        asym = or_nan(f"asymptote unavailable for user {user + 1}",
-                      analytic.ber_asymptotic, params)
-    return closed, numeric, asym, tuple(notes)
+    return _refused("imperfect-SIC closed form unavailable",
+                    analytic.ber_imperfect_sic, params, stage, snr)
+
+
+def _numeric(params, stage, snr: float) -> float:
+    if not _covered(params, stage):
+        return math.nan
+    own = analytic.ber_numeric(params, snr)
+    return own if stage is None else analytic.imperfect_sic_mixture(
+        own, 1.0 - analytic.ber_numeric(stage, snr))
+
+
+def _asymptote(params, stage, snr: float) -> Optional[float]:
+    if not _covered(params, stage) or params.co_zone_elements == 0:
+        return None  # neither the classical baseline nor a sole occupant has a floor
+    if stage is not None:
+        raise InvalidParameterError("no high-SNR limit derived for detected SIC "
+                                    "with subsurface interference")
+    return _refused(f"asymptote unavailable for user {params.index + 1}",
+                    analytic.ber_asymptotic, params)
+
+
+# (name, route) in output order: the names are the output fields.
+ANALYTIC_ROUTES = (("ber_closed_form", _closed_form), ("ber_numeric", _numeric),
+                   ("ber_asymptotic", _asymptote))
+
+
+def _analytic_cell(config: ScenarioConfig, user: int, snr: float):
+    # snr is the linear SNR that run_sweep has checked.  Detected-mode
+    # cancellation decodes user 1's symbol first, at the user's channel.
+    params = config.analytic_params(user) if config.variant == STAR_VARIANT else None
+    detected = params is not None and config.sic_mode == DETECTED and user > 0
+    stage = replace(params, index=0) if detected else None
+    routes, notes = [], {}  # each note once, in order
+    for name, route in ANALYTIC_ROUTES:
+        try:
+            routes.append((name, route(params, stage, snr)))
+        except InvalidParameterError as exc:
+            routes.append((name, math.nan))
+            notes[str(exc)] = None
+    return tuple(routes), tuple(notes)
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
               users: Sequence[int], rule: StoppingRule = StoppingRule(),
               seed: int = 0, snr_db: Optional[float] = None,
               workers: int = 1) -> SweepResult:
-    """One BER estimate per (axis value, user) plus aligned analytic series.
+    """One BER estimate per (axis value, user) plus its analytic values.
 
     ``snr_db`` is the fixed operating point for element-count and power
     sweeps; it is checked whenever given and unused on SNR sweeps.
@@ -555,7 +579,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
     if snr_db is not None:
         fixed_snr = snr_from_db("sweep.snr_db", snr_db)
     elif axis != SNR_AXIS:
-        raise ConfigError(f"sweep over {axis} needs a fixed snr_db")
+        raise ConfigError(f"sweep.snr_db must be given for a sweep over {axis}")
     user_list = user_indices("sweep.users", [count(f"sweep.users[{i}]", u)
                                              for i, u in enumerate(users)], config.n_users)
     # Every point's config is built (and so checked) before any trial runs.
@@ -577,9 +601,9 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
                       else run_classical_point)
             est = runner(point_config, point_snr, user, rule, seed,
                          stream_key=(vi, user), workers=workers)
-            closed, numeric, asym, notes = _analytic_cell(point_config, user, snr)
+            routes, notes = _analytic_cell(point_config, user, snr)
             if est.underflow:
                 notes = notes + (f"no errors observed in {est.trials} trials; "
                                  "interval is one-sided",)
-            cells.append(SweepCell(value, user, est, closed, numeric, asym, notes))
+            cells.append(SweepCell(value, user, est, routes, notes))
     return SweepResult(axis, vals, user_list, tuple(cells), warn)

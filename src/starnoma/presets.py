@@ -34,7 +34,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .noma import DETECTED, GENIE
-from .rules import increasing, nonempty
+from .rules import count, increasing, nonempty
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
@@ -71,6 +71,11 @@ def _two_user_cross_zone(d_bs: float, d1: float, d2: float, a1: float, a2: float
     )
 
 
+def _counts(name: str, values: Sequence) -> Tuple[int, ...]:
+    """Element counts: at least one, each an integer >= 0, none rounded."""
+    return tuple(count(name, n) for n in nonempty(name, values))
+
+
 def fig2(element_counts: Sequence[int] = (25, 50, 75),
          snr_values: Sequence[float] = range(0, 42, 2)) -> FigurePlan:
     """Two cross-zone users at (50, 6, 4) m, powers (0.7, 0.3), perfect SIC.
@@ -82,9 +87,9 @@ def fig2(element_counts: Sequence[int] = (25, 50, 75),
     d_bs, d1, d2 = 50.0, 6.0, 4.0
     runs = [
         FigureRun(f"star_n{n}",
-                  _two_user_cross_zone(d_bs, d1, d2, 0.7, 0.3, int(n), GENIE),
+                  _two_user_cross_zone(d_bs, d1, d2, 0.7, 0.3, n, GENIE),
                   SNR_AXIS, snrs, (0, 1))
-        for n in nonempty("fig2 element_counts", element_counts)
+        for n in _counts("fig2 element_counts", element_counts)
     ]
     classical = ScenarioConfig(
         variant=CLASSICAL_VARIANT,
@@ -110,14 +115,14 @@ def fig3(allocations: Sequence[Tuple[float, float]],
     preset and must be supplied.
     """
     nonempty("fig3 allocations", allocations)
-    nonempty("fig3 element_counts", element_counts)
+    counts = _counts("fig3 element_counts", element_counts)
     snrs = increasing("fig3 snr_values", tuple(float(s) for s in snr_values))
     runs = []
     for a1, a2 in allocations:
-        for n in element_counts:
-            tag = f"a{int(round(a1 * 100)):02d}_n{int(n)}"
+        for n in counts:
+            tag = f"a{int(round(a1 * 100)):02d}_n{n}"
             for mode, label in ((GENIE, "perfect"), (DETECTED, "imperfect")):
-                cfg = _two_user_cross_zone(50.0, 6.0, 4.0, a1, a2, int(n), mode)
+                cfg = _two_user_cross_zone(50.0, 6.0, 4.0, a1, a2, n, mode)
                 runs.append(FigureRun(f"{tag}_{label}", cfg, SNR_AXIS, snrs, (1,)))
     return FigurePlan("fig3", tuple(runs))
 
@@ -130,11 +135,11 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
     Default power splits differ by 0.1; both users are swept over the same
     symmetric element grid.
     """
-    values = increasing("fig4 element_counts", nonempty(
-        "fig4 element_counts", tuple(float(n) for n in element_counts)))
+    counts = _counts("fig4 element_counts", element_counts)
+    values = increasing("fig4 element_counts", tuple(float(n) for n in counts))
     runs = []
     for a1, a2 in nonempty("fig4 allocations", allocations):
-        cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, int(values[0]), GENIE)
+        cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, counts[0], GENIE)
         runs.append(FigureRun(f"a{int(round(a1 * 100)):02d}", cfg,
                               ELEMENTS_AXIS, values, (0, 1), snr_db=snr_db))
     return FigurePlan("fig4", tuple(runs))
@@ -151,7 +156,7 @@ def fig5(element_counts: Sequence[int],
         raise ConfigError("fig5 element_counts must be three counts, one per user "
                           f"(N1, N2, N3), got {list(element_counts)!r}")
     snrs = increasing("fig5 snr_values", tuple(float(s) for s in snr_values))
-    n1, n2, n3 = (int(n) for n in element_counts)
+    n1, n2, n3 = _counts("fig5 element_counts", element_counts)
     cfg = ScenarioConfig(
         variant=STAR_VARIANT,
         users=(

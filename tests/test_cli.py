@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import starnoma.cli as cli
+import starnoma.engine as engine
 from starnoma import __version__, analytic, presets
 from starnoma.cli import (
     CSV_HEADER,
@@ -25,7 +26,7 @@ from starnoma.engine import (
     ScenarioConfig,
     UserSpec,
 )
-from starnoma.errors import ConfigError, NumericError
+from starnoma.errors import ConfigError, InvalidParameterError, NumericError
 
 STAR_CONFIG = {
     "system": {"variant": "star-ris-noma", "bs_ris_distance": 50.0,
@@ -223,6 +224,66 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "4"
+
+
+# The sweep config with detected SIC and both users in one zone: the
+# cancelling user's asymptote is NaN with a note, the other's is a number.
+DETECTED_SAME_ZONE = {**STAR_CONFIG,
+                      "system": {**STAR_CONFIG["system"], "sic_mode": "detected"},
+                      "users": [{**u, "zone": "transmission"} for u in STAR_CONFIG["users"]]}
+
+
+def run_sweep_outputs(path, tmp_path, extra=()):
+    """The CSV text and JSON document of one sweep written in each format."""
+    out = {}
+    for fmt in ("csv", "json"):
+        target = tmp_path / f"curve.{fmt}"
+        rc = main(["sweep", "--config", str(path), "--out", str(target), "--format", fmt,
+                   "--seed", "7", *extra, *fast_args()])
+        assert rc == 0
+        out[fmt] = target.read_text()
+    return out["csv"], json.loads(out["json"])
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("doc", [STAR_CONFIG, DETECTED_SAME_ZONE],
+                             ids=["genie", "detected-same-zone"])
+    def test_csv_and_json_rows_carry_the_same_strings(self, doc, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        csv_text, json_doc = run_sweep_outputs(path, tmp_path)
+        header, *lines = csv_text.splitlines()
+        assert header == CSV_HEADER and len(lines) == len(json_doc["rows"]) == 3 * 2
+        for line, row in zip(lines, json_doc["rows"]):
+            assert line.split(",") == [str(row[name]) for name in header.split(",")]
+
+    def test_added_route_reaches_json_and_point_but_not_csv(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        csv_before, _ = run_sweep_outputs(config_path, tmp_path)
+
+        def refused(params, stage, snr):
+            raise InvalidParameterError("ber_refused is not derived here")
+
+        names = [name for name, _ in engine.ANALYTIC_ROUTES]
+        routes = dict(engine.ANALYTIC_ROUTES)
+        monkeypatch.setattr(engine, "ANALYTIC_ROUTES", (
+            (names[0], routes[names[0]]), ("ber_quarter", lambda params, stage, snr: 0.25),
+            *[(name, routes[name]) for name in names[1:]], ("ber_refused", refused)))
+        csv_after, json_doc = run_sweep_outputs(config_path, tmp_path)
+        assert csv_after == csv_before
+        table = [names[0], "ber_quarter", *names[1:], "ber_refused"]
+        for row in json_doc["rows"]:
+            assert list(row) == ["axis_value", "user", "ber_mc", "ci_low", "ci_high",
+                                 *table, "trials", "errors", "stop_reason"]
+            assert (row["ber_quarter"], row["ber_refused"]) == ("2.500000000000e-01", "nan")
+        capsys.readouterr()
+        assert main(["point", "--config", str(config_path), "--snr-db", "5", "--user", "1",
+                     *fast_args()]) == 0
+        out, err = capsys.readouterr()
+        labels = [part.split("=")[0] for part in out.split()]
+        assert labels == ["user", "ber_mc", "ci95", *table, "trials", "errors", "stop"]
+        assert " ber_quarter=2.500000000000e-01 " in out and " ber_refused=nan " in out
+        assert err == "note: ber_refused is not derived here\n"
 
 
 class TestFigureCommand:

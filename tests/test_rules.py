@@ -275,14 +275,14 @@ class TestCommandLineDefects:
         path = write_config(tmp_path / "c.json", CONFIG)
         rc, err = run_cli(["sweep", "--config", path, "--values", "0,inf",
                            "--out", str(tmp_path / "o.csv"), *FAST], capsys)
-        assert rc == 1 and "sweep.values[1]" in err and blocks == []
+        assert rc == 1 and "--values[1]" in err and blocks == []
 
     def test_sweep_elements_nan(self, tmp_path, capsys, blocks):
         path = write_config(tmp_path / "c.json", CONFIG)
         rc, err = run_cli(["sweep", "--config", path, "--axis", "elements",
                            "--values", "4,nan", "--snr-db", "10",
                            "--out", str(tmp_path / "o.csv"), *FAST], capsys)
-        assert rc == 1 and "sweep.values" in err and blocks == []
+        assert rc == 1 and "--values" in err and blocks == []
 
     def test_config_sweep_value_not_a_number(self, tmp_path, capsys, blocks):
         doc = with_field("sweep", "values", [0, "ten"])
@@ -481,13 +481,13 @@ def _option_case(command, bad, tmp_path):
         "point": (["point", "--config", path, f"--snr-db={bad!r}"], "--snr-db"),
         "sweep-snr": (["sweep", "--config", path, "--axis", "elements",
                        "--values", "4,8", f"--snr-db={bad!r}", "--out", out],
-                      "sweep.snr_db"),
+                      "--snr-db"),
         # An SNR sweep does not use --snr-db, but checks it when given.
         "sweep-snr-axis": (["sweep", "--config", path, "--axis", "snr_db",
-                            f"--snr-db={bad!r}", "--out", out], "sweep.snr_db"),
+                            f"--snr-db={bad!r}", "--out", out], "--snr-db"),
         "sweep-values": (["sweep", "--config", path,
                           f"--values={_list([0.0, bad])}", "--out", out],
-                         "sweep.values[1]"),
+                         "--values[1]"),
         "fig2-snr-values": (["figure", "fig2", "--elements", "4",
                              f"--snr-values={_list([0.0, bad])}", "--out", out],
                             "--snr-values[1]"),
@@ -531,6 +531,21 @@ def test_empty_preset_arguments(preset, kwargs, named):
         preset(**kwargs)
 
 
+@pytest.mark.parametrize("preset, args, named", [
+    (presets.fig2, {"element_counts": [8.5]}, "fig2 element_counts"),
+    (presets.fig2, {"element_counts": [True]}, "fig2 element_counts"),
+    (presets.fig2, {"element_counts": [-0.5]}, "fig2 element_counts"),
+    (presets.fig3, {"allocations": [(0.7, 0.3)], "element_counts": [8.7]},
+     "fig3 element_counts"),
+    (presets.fig4, {"element_counts": [6.5, 8]}, "fig4 element_counts"),
+    (presets.fig5, {"element_counts": (4.5, 4, 8)}, "fig5 element_counts"),
+], ids=["fig2-fraction", "fig2-bool", "fig2-negative", "fig3", "fig4", "fig5"])
+def test_preset_refuses_a_non_integral_element_count(preset, args, named):
+    # int() would run another count under a name made from the given one.
+    with pytest.raises(ConfigError, match=f"^{named} must be an integer >= 0, got "):
+        preset(**args)
+
+
 def test_empty_preset_grids():
     # The presets read an empty grid as empty too: the sweep refuses it.
     with pytest.raises(ConfigError, match="fig4 element_counts must be nonempty"):
@@ -539,6 +554,51 @@ def test_empty_preset_grids():
     with pytest.raises(ConfigError, match="sweep.values must be nonempty"):
         run_sweep(run.config, run.axis, run.values, run.users,
                   StoppingRule(min_errors=1, max_trials=1))
+
+
+# (sweep options, the start of the error): a value refused by the sweep
+# is named by the option that gave it, and so is a fixed SNR --axis needs.
+SWEEP_OPTION_CASES = [
+    (["--values", "nan"], "error: --values[0] must be a finite number"),
+    (["--values", ""], "error: --values must be nonempty"),
+    (["--snr-db", "nan"], "error: --snr-db must be a finite number"),
+    (["--axis", "elements", "--values", "4,8"],
+     "error: --snr-db must be given for a sweep over elements"),
+]
+
+
+@pytest.mark.parametrize("options, message", SWEEP_OPTION_CASES,
+                         ids=["values-nan", "values-empty", "snr-db-nan", "axis-without-snr-db"])
+def test_sweep_option_names_its_refused_value(options, message, tmp_path, capsys, blocks):
+    doc = json.loads(json.dumps(CONFIG))
+    del doc["sweep"]["snr_db"]
+    path = write_config(tmp_path / "c.json", doc)
+    rc, err = run_cli(["sweep", "--config", path, *options,
+                       "--out", str(tmp_path / "o.csv"), *FAST], capsys)
+    assert rc == 1 and err.startswith(message) and blocks == []
+
+
+def test_sweep_option_names_the_axis_it_chose(tmp_path, capsys, blocks):
+    doc = json.loads(json.dumps(CONFIG))
+    doc["users"].append({**doc["users"][1], "power_coefficient": 0.1})
+    doc["users"][1]["power_coefficient"] = 0.2
+    path = write_config(tmp_path / "c.json", doc)
+    rc, err = run_cli(["sweep", "--config", path, "--axis", "power", "--values", "0.6",
+                       "--out", str(tmp_path / "o.csv"), *FAST], capsys)
+    assert rc == 1 and blocks == []
+    assert err.startswith("error: --axis=power supports exactly two users")
+
+
+def test_sweep_section_names_its_missing_snr(tmp_path, capsys, blocks):
+    doc = json.loads(json.dumps(CONFIG))
+    del doc["sweep"]["snr_db"]
+    doc["sweep"]["axis"] = "elements"
+    doc["sweep"]["values"] = [4, 8]
+    path = write_config(tmp_path / "c.json", doc)
+    rc, err = run_cli(["sweep", "--config", path, "--out", str(tmp_path / "o.csv"),
+                       *FAST], capsys)
+    assert rc == 1 and blocks == []
+    assert err.startswith("error: sweep.snr_db must be given for a sweep over elements")
 
 
 @pytest.mark.parametrize("value", ["forty", math.nan])
