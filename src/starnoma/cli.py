@@ -23,10 +23,11 @@ takes the options its preset has parameters for: fig2 and fig5
 ``--elements`` and ``--snr-values``, fig3 those and ``--allocations``, fig4
 ``--elements``, ``--allocations`` and ``--fixed-snr-db``.  fig3 needs
 ``--allocations`` and ``--elements``, fig5 ``--elements``, and any other
-option is an error.  A value the preset refuses (an SNR or element grid
-that does not increase, fig5 counts that are not three) is reported
-under the option that gave it; ``sweep`` names a refused value, or a
-missing fixed SNR, by the option or ``sweep`` field it came from.
+option is an error.  One object, :class:`FigureRun`, checks a sweep's
+fields.  ``sweep``, ``point`` and ``figure`` check every value before any
+output path is created, and name a refused value (an SNR or element grid
+that does not increase, fig5 counts that are not three) or a missing
+fixed SNR by the option or ``sweep`` field it came from.
 ``--seed`` must be an integer >= 0.
 Exit codes: 0 success, 1 validation failure (including NaN or infinite
 input), 2 runtime/numeric failure.  Every output, the manifest included,
@@ -50,6 +51,7 @@ import inspect
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,6 +61,7 @@ from .engine import (
     AXES,
     DEFAULT_BLOCK_SIZE,
     SNR_AXIS,
+    FigureRun,
     ScenarioConfig,
     StoppingRule,
     SweepCell,
@@ -67,7 +70,7 @@ from .engine import (
     run_sweep,
 )
 from .errors import ConfigError, StarNomaError
-from .rules import count, nonempty, power_coefficients, snr_from_db, user_indices
+from .rules import count, user_indices
 
 CSV_HEADER = ("axis_value,user,ber_mc,ci_low,ci_high,ber_closed_form,"
               "ber_numeric,ber_asymptotic,trials,errors")
@@ -128,8 +131,8 @@ def parse_config(raw: Dict) -> Tuple[ScenarioConfig, Optional[Dict]]:
     if raw.get("sweep") is None:
         return config, None
     # The sweep fields are those of a figure run, less its name and config.
-    sweep = _section("sweep", raw["sweep"], [f.name for f in fields(presets.FigureRun)
-                                             if f.name not in ("name", "config")], ())
+    sweep = _section("sweep", raw["sweep"], [f.name for f in fields(FigureRun) if f.init
+                                             and f.name not in ("name", "config")], ())
     for field in ("values", "users"):
         if not isinstance(sweep.get(field, []), list):
             raise ConfigError(f"sweep.{field}: not a list (got {sweep[field]!r})")
@@ -279,16 +282,19 @@ def _user_indices(name: str, users_1based: Optional[Sequence[int]],
                                for i, u in enumerate(users_1based)], n_users)
 
 
-def _renamed(exc: ConfigError, names: Dict[str, str]) -> ConfigError:
-    """``exc`` with the field its message starts with, a key of ``names``,
-    replaced by that key's value: the option that gave the refused value."""
-    for field, option in names.items():
-        if str(exc).startswith(field):
-            return ConfigError(option + str(exc)[len(field):])
-    return exc
+@contextmanager
+def _renamed(names: Dict[str, str]):
+    """Name a refused value by its option: each key in the message becomes its value."""
+    try:
+        yield
+    except ConfigError as exc:
+        message = str(exc)
+        for field, option in names.items():
+            message = message.replace(field, option)
+        raise ConfigError(message) from None
 
 
-def _run(args, runs: Sequence[presets.FigureRun],
+def _run(args, runs: Sequence[FigureRun],
          outputs: Sequence[Path] = ()) -> Tuple[List[SweepResult], StoppingRule, int]:
     """The one path from the command line to ``run_sweep``: check the run
     options, each under its own name, and every output path, then run each
@@ -302,13 +308,11 @@ def _run(args, runs: Sequence[presets.FigureRun],
         if path in outputs[:i]:
             raise ConfigError(f"output path {path} would be written by two runs")
         _check_writable(path)
-    results = [run_sweep(run.config, run.axis, run.values, run.users, rule,
-                         seed=seed, snr_db=run.snr_db, workers=workers)
-               for run in runs]
+    results = [run_sweep(run, rule, seed, workers) for run in runs]
     return results, rule, workers
 
 
-def _run_and_write(args, runs: Sequence[presets.FigureRun], paths: Sequence[Path],
+def _run_and_write(args, runs: Sequence[FigureRun], paths: Sequence[Path],
                    manifest: Path, write) -> int:
     """Run every sweep, then replace the outputs in one transaction: write
     each result with ``write``, and the manifest, to a temporary file beside
@@ -358,9 +362,9 @@ def cmd_point(args) -> int:
     config, _ = load_config(args.config)
     users = _user_indices("--user", None if args.user is None else [args.user],
                           config.n_users)
-    snr_from_db("--snr-db", args.snr_db)
-    (result,), _, _ = _run(args, [presets.FigureRun("point", config, SNR_AXIS,
-                                                    (args.snr_db,), users)])
+    with _renamed({"sweep.values[0]": "--snr-db"}):
+        run = FigureRun("point", config, SNR_AXIS, (args.snr_db,), users)
+    (result,), _, _ = _run(args, [run])
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     for cell in result.cells:
@@ -389,32 +393,23 @@ def cmd_sweep(args) -> int:
     snr_name, snr_db = pick("snr_db", "--snr-db")
     if snr_db is None and args.axis is not None:
         snr_name = "--snr-db"  # the fixed SNR an --axis sweep may need
-    # The unnamed run's notes go unprefixed.
-    run = presets.FigureRun("", config, axis, values or (),
-                            _user_indices(users_name, users, config.n_users), snr_db)
+    with _renamed({"sweep.axis": axis_name, "sweep.values": values_name,
+                   "sweep.snr_db": snr_name}):
+        # The unnamed run's notes go unprefixed.
+        run = FigureRun("", config, axis, values or (),
+                        _user_indices(users_name, users, config.n_users), snr_db)
     out = Path(args.out)
-    try:
-        return _run_and_write(args, [run], [out], out.with_name(out.name + ".manifest.json"),
-                              write_sweep_csv if args.format == "csv" else write_sweep_json)
-    except ConfigError as exc:  # refused by run_sweep, which names the sweep fields
-        raise _renamed(exc, {"sweep.axis": axis_name, "sweep.values": values_name,
-                             "sweep.snr_db": snr_name}) from None
+    return _run_and_write(args, [run], [out], out.with_name(out.name + ".manifest.json"),
+                          write_sweep_csv if args.format == "csv" else write_sweep_json)
 
 
-def _each(rule):
-    """The check of a list option: nonempty, and ``rule`` on each item."""
-    return lambda option, values: [rule(f"{option}[{i}]", v)
-                                   for i, v in enumerate(nonempty(option, values))]
-
-
-# (option, args attribute, preset parameter, check naming the option); the
-# preset's signature says which options a figure takes, needs and defaults.
+# (option, args attribute, preset parameter); the preset's signature says
+# which options a figure takes, needs and defaults.
 _FIGURE_OPTIONS = (
-    ("--elements", "elements", "element_counts", _each(count)),
-    ("--snr-values", "snr_values", "snr_values", _each(snr_from_db)),
-    ("--allocations", "allocations", "allocations",
-     _each(lambda name, pair: power_coefficients(name + "[{}]", pair))),
-    ("--fixed-snr-db", "fixed_snr_db", "snr_db", snr_from_db),
+    ("--elements", "elements", "element_counts"),
+    ("--snr-values", "snr_values", "snr_values"),
+    ("--allocations", "allocations", "allocations"),
+    ("--fixed-snr-db", "fixed_snr_db", "snr_db"),
 )
 
 
@@ -422,24 +417,22 @@ def _figure_plan(args) -> presets.FigurePlan:
     preset = getattr(presets, args.name)
     params = inspect.signature(preset).parameters
     given, missing = {}, []
-    for option, attr, param, check in _FIGURE_OPTIONS:
+    for option, attr, param in _FIGURE_OPTIONS:
         value = getattr(args, attr)
         if value is not None:
             if param not in params:
                 raise ConfigError(f"{args.name} takes no {option}")
-            check(option, value)
             given[param] = value
         elif param in params and params[param].default is params[param].empty:
             missing.append(option)
     if missing:
         raise ConfigError(f"{args.name} leaves these parameters open; pass "
                           + " and ".join(missing))
-    try:
+    # A preset names a refused count or split "<figure> <parameter>[i]", and
+    # its runs the SNR grid and fixed SNR they were given as sweep fields.
+    names = {f"{args.name} {param}": option for option, _, param in _FIGURE_OPTIONS}
+    with _renamed({**names, "sweep.values": "--snr-values", "sweep.snr_db": "--fixed-snr-db"}):
         return preset(**given)
-    except ConfigError as exc:
-        # A preset names a bad argument "<figure> <parameter>"; name its option.
-        raise _renamed(exc, {f"{args.name} {param}": option
-                             for option, _, param, _ in _FIGURE_OPTIONS}) from None
 
 
 def cmd_figure(args) -> int:

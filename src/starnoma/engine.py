@@ -41,7 +41,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from . import analytic
 from .analytic import UserAnalyticParams
@@ -474,22 +474,62 @@ class SweepResult:
     warnings: Tuple[str, ...] = ()
 
 
-def _config_at(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+def _config_at(config: ScenarioConfig, axis: str, name: str, value: float) -> ScenarioConfig:
     if axis == SNR_AXIS:
         return config
     if axis == ELEMENTS_AXIS:
-        n = count("sweep.values", value)
+        n = count(name, value)
         users = tuple(replace(u, elements=n) for u in config.users)
         return replace(config, users=users)
-    # The power axis, the last of AXES: run_sweep has checked the axis.
+    # The power axis, the last of AXES: FigureRun has checked the axis.
     if config.n_users != 2:
         raise ConfigError("sweep.axis=power supports exactly two users")
     if not 0.5 <= value < 1.0:
-        raise ConfigError(f"sweep.values: the stronger-power coefficient must "
+        raise ConfigError(f"{name}: the stronger-power coefficient must "
                           f"lie in [0.5, 1), got {value}")
     users = (replace(config.users[0], power_coefficient=value),
              replace(config.users[1], power_coefficient=1.0 - value))
     return replace(config, users=users)
+
+
+@dataclass(frozen=True)
+class FigureRun:
+    """One sweep: a config, an axis, its values and the users to plot.  The
+    fields after ``config`` are those of a config file's ``sweep`` section,
+    checked here under that name and stored as their rules return them;
+    ``snr_db``, the fixed SNR of element-count and power sweeps, is checked
+    whenever given.  ``snrs`` and ``configs`` hold each point's linear SNR
+    and config, so a run that constructs is one that can run."""
+
+    name: str
+    config: ScenarioConfig
+    axis: str
+    values: Tuple[float, ...]
+    users: Tuple[int, ...]
+    snr_db: Optional[float] = None
+    snrs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    configs: Tuple[ScenarioConfig, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        axis = one_of("sweep.axis", self.axis, AXES)
+        names = [f"sweep.values[{i}]" for i, _ in enumerate(self.values)]
+        values = tuple(map(number, names, nonempty("sweep.values", self.values)))
+        snrs = tuple(map(snr_from_db, names, values)) if axis == SNR_AXIS else ()
+        increasing("sweep.values", values)
+        if self.snr_db is not None:
+            fixed = snr_from_db("sweep.snr_db", self.snr_db)
+        elif axis != SNR_AXIS:
+            raise ConfigError(f"sweep.snr_db must be given for a sweep over {axis}")
+        users = [count(f"sweep.users[{i}]", u) for i, u in enumerate(self.users)]
+        checked = {
+            "values": values, "snrs": snrs or (fixed,) * len(values),
+            "users": user_indices("sweep.users", users, self.config.n_users),
+            # Every point's config is built, and so checked, before any trial runs.
+            "configs": tuple(_config_at(self.config, axis, name, value)
+                             for name, value in zip(names, values)),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +586,7 @@ ANALYTIC_ROUTES = (("ber_closed_form", _closed_form), ("ber_numeric", _numeric),
 
 
 def _analytic_cell(config: ScenarioConfig, user: int, snr: float):
-    # snr is the linear SNR that run_sweep has checked.  Detected-mode
+    # snr is the linear SNR that FigureRun has checked.  Detected-mode
     # cancellation decodes user 1's symbol first, at the user's channel.
     params = config.analytic_params(user) if config.variant == STAR_VARIANT else None
     detected = params is not None and config.sic_mode == DETECTED and user > 0
@@ -561,44 +601,22 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr: float):
     return tuple(routes), tuple(notes)
 
 
-def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
-              users: Sequence[int], rule: StoppingRule = StoppingRule(),
-              seed: int = 0, snr_db: Optional[float] = None,
+def run_sweep(run: FigureRun, rule: StoppingRule = StoppingRule(), seed: int = 0,
               workers: int = 1) -> SweepResult:
-    """One BER estimate per (axis value, user) plus its analytic values.
-
-    ``snr_db`` is the fixed operating point for element-count and power
-    sweeps; it is checked whenever given and unused on SNR sweeps.
-    """
-    one_of("sweep.axis", axis, AXES)
-    vals = tuple(number(f"sweep.values[{i}]", v) for i, v in enumerate(values))
-    # The linear SNRs, which the analytic columns take as checked here.
-    snrs = ([snr_from_db(f"sweep.values[{i}]", v) for i, v in enumerate(vals)]
-            if axis == SNR_AXIS else [])
-    increasing("sweep.values", nonempty("sweep.values", vals))
-    if snr_db is not None:
-        fixed_snr = snr_from_db("sweep.snr_db", snr_db)
-    elif axis != SNR_AXIS:
-        raise ConfigError(f"sweep.snr_db must be given for a sweep over {axis}")
-    user_list = user_indices("sweep.users", [count(f"sweep.users[{i}]", u)
-                                             for i, u in enumerate(users)], config.n_users)
-    # Every point's config is built (and so checked) before any trial runs.
-    point_configs = [_config_at(config, axis, value) for value in vals]
-
+    """One BER estimate per (axis value, user) of ``run`` plus its analytic values."""
     # Warnings of the configs simulated; one not held at every point names its values.
     held: Dict[str, List[float]] = {}
-    for value, point_config in zip(vals, point_configs):
+    for value, point_config in zip(run.values, run.configs):
         for w in ordering_warnings(point_config):
             held.setdefault(w, []).append(value)
-    warn = tuple(w if len(at) == len(vals) else
-                 f"at {axis}={', '.join(f'{v:.10g}' for v in at)}: {w}"
+    warn = tuple(w if len(at) == len(run.values) else
+                 f"at {run.axis}={', '.join(f'{v:.10g}' for v in at)}: {w}"
                  for w, at in held.items())
+    runner = run_ber_point if run.config.variant == STAR_VARIANT else run_classical_point
     cells: List[SweepCell] = []
-    for vi, (value, point_config) in enumerate(zip(vals, point_configs)):
-        point_snr, snr = (value, snrs[vi]) if axis == SNR_AXIS else (snr_db, fixed_snr)
-        for user in user_list:
-            runner = (run_ber_point if config.variant == STAR_VARIANT
-                      else run_classical_point)
+    for vi, (value, point_config, snr) in enumerate(zip(run.values, run.configs, run.snrs)):
+        point_snr = value if run.axis == SNR_AXIS else run.snr_db
+        for user in run.users:
             est = runner(point_config, point_snr, user, rule, seed,
                          stream_key=(vi, user), workers=workers)
             routes, notes = _analytic_cell(point_config, user, snr)
@@ -606,4 +624,4 @@ def run_sweep(config: ScenarioConfig, axis: str, values: Sequence[float],
                 notes = notes + (f"no errors observed in {est.trials} trials; "
                                  "interval is one-sided",)
             cells.append(SweepCell(value, user, est, routes, notes))
-    return SweepResult(axis, vals, user_list, tuple(cells), warn)
+    return SweepResult(run.axis, run.values, run.users, tuple(cells), warn)

@@ -13,43 +13,31 @@ counts, fig5 element counts) or defaulted here with the choice documented:
   reported 13-element / 3-element crossing shifts for a 0.1 power-share
   increment.
 
-The grid and count checks name a refused argument ``"<figure> <parameter>"``
-at the start of the error message, which the command line turns into the
-name of the option that gave it.
+A preset checks the element counts and two-user power splits it builds
+configs and run names from, naming a refused one ``"<figure> <parameter>[i]"``;
+its SNR grid goes as given to :class:`FigureRun`, which checks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .engine import (
     CLASSICAL_VARIANT,
     ELEMENTS_AXIS,
     SNR_AXIS,
     STAR_VARIANT,
+    FigureRun,
     ScenarioConfig,
     UserSpec,
 )
 from .errors import ConfigError
 from .noma import DETECTED, GENIE
-from .rules import count, increasing, nonempty
+from .rules import count, increasing, nonempty, power_coefficients
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5")
-
-
-@dataclass(frozen=True)
-class FigureRun:
-    """One sweep: a config, an axis and the users to plot.  The fields after
-    ``config`` are also those of a config file's ``sweep`` section."""
-
-    name: str
-    config: ScenarioConfig
-    axis: str
-    values: Tuple[float, ...]
-    users: Tuple[int, ...]
-    snr_db: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -73,7 +61,13 @@ def _two_user_cross_zone(d_bs: float, d1: float, d2: float, a1: float, a2: float
 
 def _counts(name: str, values: Sequence) -> Tuple[int, ...]:
     """Element counts: at least one, each an integer >= 0, none rounded."""
-    return tuple(count(name, n) for n in nonempty(name, values))
+    return tuple(count(f"{name}[{i}]", n) for i, n in enumerate(nonempty(name, values)))
+
+
+def _splits(name: str, pairs: Sequence) -> Tuple[Tuple[float, ...], ...]:
+    """Power splits: at least one, each the coefficients of a config's users."""
+    return tuple(power_coefficients(f"{name}[{i}][{{}}]", pair)
+                 for i, pair in enumerate(nonempty(name, pairs)))
 
 
 def fig2(element_counts: Sequence[int] = (25, 50, 75),
@@ -83,12 +77,11 @@ def fig2(element_counts: Sequence[int] = (25, 50, 75),
     One surface run per element count plus one classical baseline with the
     geometric-mean equivalent distances.
     """
-    snrs = increasing("fig2 snr_values", tuple(float(s) for s in snr_values))
     d_bs, d1, d2 = 50.0, 6.0, 4.0
     runs = [
         FigureRun(f"star_n{n}",
                   _two_user_cross_zone(d_bs, d1, d2, 0.7, 0.3, n, GENIE),
-                  SNR_AXIS, snrs, (0, 1))
+                  SNR_AXIS, snr_values, (0, 1))
         for n in _counts("fig2 element_counts", element_counts)
     ]
     classical = ScenarioConfig(
@@ -102,7 +95,7 @@ def fig2(element_counts: Sequence[int] = (25, 50, 75),
         bs_ris_distance=d_bs,
         sic_mode=GENIE,
     )
-    runs.append(FigureRun("classical", classical, SNR_AXIS, snrs, (0, 1)))
+    runs.append(FigureRun("classical", classical, SNR_AXIS, snr_values, (0, 1)))
     return FigurePlan("fig2", tuple(runs))
 
 
@@ -114,16 +107,14 @@ def fig3(allocations: Sequence[Tuple[float, float]],
     The per-curve power splits and element counts are not fixed by the
     preset and must be supplied.
     """
-    nonempty("fig3 allocations", allocations)
     counts = _counts("fig3 element_counts", element_counts)
-    snrs = increasing("fig3 snr_values", tuple(float(s) for s in snr_values))
     runs = []
-    for a1, a2 in allocations:
+    for a1, a2 in _splits("fig3 allocations", allocations):
         for n in counts:
             tag = f"a{int(round(a1 * 100)):02d}_n{n}"
             for mode, label in ((GENIE, "perfect"), (DETECTED, "imperfect")):
                 cfg = _two_user_cross_zone(50.0, 6.0, 4.0, a1, a2, n, mode)
-                runs.append(FigureRun(f"{tag}_{label}", cfg, SNR_AXIS, snrs, (1,)))
+                runs.append(FigureRun(f"{tag}_{label}", cfg, SNR_AXIS, snr_values, (1,)))
     return FigurePlan("fig3", tuple(runs))
 
 
@@ -138,7 +129,7 @@ def fig4(allocations: Sequence[Tuple[float, float]] = ((0.7, 0.3), (0.8, 0.2)),
     counts = _counts("fig4 element_counts", element_counts)
     values = increasing("fig4 element_counts", tuple(float(n) for n in counts))
     runs = []
-    for a1, a2 in nonempty("fig4 allocations", allocations):
+    for a1, a2 in _splits("fig4 allocations", allocations):
         cfg = _two_user_cross_zone(50.0, 8.0, 4.0, a1, a2, counts[0], GENIE)
         runs.append(FigureRun(f"a{int(round(a1 * 100)):02d}", cfg,
                               ELEMENTS_AXIS, values, (0, 1), snr_db=snr_db))
@@ -152,20 +143,18 @@ def fig5(element_counts: Sequence[int],
     The per-user element split is not fixed by the preset and must be
     supplied as three counts.
     """
-    if len(element_counts) != 3:
+    n = _counts("fig5 element_counts", element_counts)
+    if len(n) != 3:
         raise ConfigError("fig5 element_counts must be three counts, one per user "
                           f"(N1, N2, N3), got {list(element_counts)!r}")
-    snrs = increasing("fig5 snr_values", tuple(float(s) for s in snr_values))
-    n1, n2, n3 = _counts("fig5 element_counts", element_counts)
     cfg = ScenarioConfig(
         variant=STAR_VARIANT,
         users=(
-            UserSpec(3.0, "transmission", n1, 0.75),
-            UserSpec(2.5, "transmission", n2, 0.248),
-            UserSpec(2.0, "reflection", n3, 0.002),
+            UserSpec(3.0, "transmission", n[0], 0.75),
+            UserSpec(2.5, "transmission", n[1], 0.248),
+            UserSpec(2.0, "reflection", n[2], 0.002),
         ),
         bs_ris_distance=20.0,
         sic_mode=GENIE,
     )
-    return FigurePlan("fig5", (FigureRun("three_user", cfg, SNR_AXIS, snrs,
-                                         (0, 1, 2)),))
+    return FigurePlan("fig5", (FigureRun("three_user", cfg, SNR_AXIS, snr_values, (0, 1, 2)),))

@@ -24,6 +24,7 @@ from starnoma.engine import (
     STOP_MIN_ERRORS,
     WILSON_Z,
     BerEstimate,
+    FigureRun,
     ScenarioConfig,
     StoppingRule,
     UserSpec,
@@ -571,7 +572,7 @@ class TestPointEstimates:
         rule = StoppingRule(min_errors=10**9, max_trials=4 * 1024)
         est = run_ber_point(cfg, 10.0, 1, rule, block_size=1024, workers=2)
         assert est.blocks == 4
-        run_sweep(cfg, SNR_AXIS, [0.0, 10.0], [0, 1], rule)
+        run_sweep(FigureRun("", cfg, SNR_AXIS, [0.0, 10.0], [0, 1]), rule)
         assert built == []
 
     def test_noise_dominated_limit(self):
@@ -693,11 +694,12 @@ class TestOrderingCheck:
         # point gives both users the same count, so user 2 is stronger.
         cfg = star_config(n1=60, n2=6, d=(8.0, 4.0))
         assert len(ordering_warnings(cfg)) == 1
-        result = run_sweep(cfg, "elements", [8, 16], [0], self.RULE, snr_db=20.0)
+        result = run_sweep(FigureRun("", cfg, "elements", [8, 16], [0], snr_db=20.0),
+                           self.RULE)
         assert result.warnings == ()
         # An SNR sweep simulates the base config at every point: the warning
         # holds throughout and reads as ordering_warnings gives it.
-        result = run_sweep(cfg, "snr_db", [0.0, 10.0], [0], self.RULE)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [0.0, 10.0], [0]), self.RULE)
         assert result.warnings == ordering_warnings(cfg)
 
     def test_elements_sweep_warns_where_each_point_does(self):
@@ -705,7 +707,8 @@ class TestOrderingCheck:
         # user 1 has the stronger channel at every swept point.
         cfg = star_config(n1=6, n2=60, d=(4.0, 8.0))
         assert ordering_warnings(cfg) == ()
-        result = run_sweep(cfg, "elements", [8, 16], [0], self.RULE, snr_db=20.0)
+        result = run_sweep(FigureRun("", cfg, "elements", [8, 16], [0], snr_db=20.0),
+                           self.RULE)
         assert result.warnings == tuple(
             f"at elements={n}: {w}" for n in (8, 16)
             for w in ordering_warnings(replace(cfg, users=tuple(
@@ -717,34 +720,36 @@ class TestSweep:
     def test_cardinality(self):
         cfg = star_config()
         rule = StoppingRule(min_errors=20, max_trials=70_000)
-        result = run_sweep(cfg, "snr_db", [0.0, 5.0, 10.0], [0, 1], rule, seed=1)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [0.0, 5.0, 10.0], [0, 1]), rule,
+                           seed=1)
         assert len(result.cells) == 6
         assert result.values == (0.0, 5.0, 10.0)
 
     def test_single_point_axis(self):
         cfg = star_config()
         rule = StoppingRule(min_errors=20, max_trials=70_000)
-        result = run_sweep(cfg, "snr_db", [5.0], [1], rule, seed=1)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [5.0], [1]), rule, seed=1)
         assert len(result.cells) == 1
 
     def test_axis_validation(self):
         cfg = star_config()
         with pytest.raises(ConfigError, match="strictly increasing"):
-            run_sweep(cfg, "snr_db", [5.0, 5.0], [0])
+            FigureRun("", cfg, "snr_db", [5.0, 5.0], [0])
         with pytest.raises(ConfigError, match="nonempty"):
-            run_sweep(cfg, "snr_db", [], [0])
+            FigureRun("", cfg, "snr_db", [], [0])
         with pytest.raises(ConfigError, match="axis"):
-            run_sweep(cfg, "frequency", [1.0], [0])
+            FigureRun("", cfg, "frequency", [1.0], [0])
 
     def test_elements_axis_requires_fixed_snr(self):
         cfg = star_config()
         with pytest.raises(ConfigError, match="snr_db"):
-            run_sweep(cfg, "elements", [8, 16], [0])
+            FigureRun("", cfg, "elements", [8, 16], [0])
 
     def test_elements_axis_applies_counts(self):
         cfg = star_config()
         rule = StoppingRule(min_errors=20, max_trials=70_000)
-        result = run_sweep(cfg, "elements", [4, 8], [1], rule, seed=2, snr_db=10.0)
+        result = run_sweep(FigureRun("", cfg, "elements", [4, 8], [1], snr_db=10.0), rule,
+                           seed=2)
         bers = [c.estimate.ber for c in result.cells]
         assert bers[1] < bers[0]
 
@@ -756,17 +761,17 @@ class TestSweep:
                    UserSpec(2.0, "reflection", 8, 0.2)),
             bs_ris_distance=20.0)
         with pytest.raises(ConfigError, match="two users"):
-            run_sweep(cfg, "power", [0.6, 0.7], [0], snr_db=10.0)
+            FigureRun("", cfg, "power", [0.6, 0.7], [0], snr_db=10.0)
 
     def test_power_axis_value_range(self):
         cfg = star_config()
         with pytest.raises(ConfigError, match="0.5"):
-            run_sweep(cfg, "power", [0.3, 0.7], [0], snr_db=10.0)
+            FigureRun("", cfg, "power", [0.3, 0.7], [0], snr_db=10.0)
 
     def test_analytic_columns_align(self):
         cfg = star_config(n1=16, n2=16, same_zone=True)
         rule = StoppingRule(min_errors=20, max_trials=70_000)
-        result = run_sweep(cfg, "snr_db", [10.0], [0, 1], rule, seed=3)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [10.0], [0, 1]), rule, seed=3)
         for cell in result.cells:
             params = cfg.analytic_params(cell.user)
             assert route(cell, "ber_closed_form") == pytest.approx(
@@ -777,13 +782,13 @@ class TestSweep:
     def test_no_floor_marked_as_none(self):
         cfg = star_config(same_zone=False)
         rule = StoppingRule(min_errors=20, max_trials=70_000)
-        result = run_sweep(cfg, "snr_db", [10.0], [0], rule, seed=3)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [10.0], [0]), rule, seed=3)
         assert route(result.cells[0], "ber_asymptotic") is None
 
     def test_detected_mode_uses_sic_error_combination(self):
         cfg = star_config(n1=16, n2=16, sic_mode=DETECTED)
         rule = StoppingRule(min_errors=20, max_trials=70_000)
-        result = run_sweep(cfg, "snr_db", [10.0], [0, 1], rule, seed=4)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [10.0], [0, 1]), rule, seed=4)
         p_perfect = analytic.ber_closed_form(cfg.analytic_params(1), 10.0)
         cell_u1, cell_u2 = result.cells
         # non-cancelling user is mode independent
@@ -799,7 +804,8 @@ class TestSweep:
     def test_refused_closed_form_and_asymptote_leave_notes(self):
         cfg = star_config(n1=8, n2=8, same_zone=True, a=(0.5, 0.5))
         rule = StoppingRule(min_errors=1, max_trials=1000)
-        cell_u1, cell_u2 = run_sweep(cfg, "snr_db", [0.0], [0, 1], rule, seed=1).cells
+        cell_u1, cell_u2 = run_sweep(FigureRun("", cfg, "snr_db", [0.0], [0, 1]), rule,
+                                     seed=1).cells
         assert (math.isnan(route(cell_u1, "ber_closed_form"))
                 and math.isnan(route(cell_u1, "ber_asymptotic")))
         assert math.isfinite(route(cell_u1, "ber_numeric"))
@@ -811,7 +817,7 @@ class TestSweep:
     def test_refused_imperfect_sic_closed_form_leaves_a_note(self):
         cfg = star_config(n1=8, n2=8, a=(0.5, 0.5), sic_mode=DETECTED)
         rule = StoppingRule(min_errors=1, max_trials=1000)
-        cell = run_sweep(cfg, "snr_db", [0.0], [1], rule, seed=1).cells[0]
+        cell = run_sweep(FigureRun("", cfg, "snr_db", [0.0], [1]), rule, seed=1).cells[0]
         assert (math.isnan(route(cell, "ber_closed_form"))
                 and math.isfinite(route(cell, "ber_numeric")))
         assert route(cell, "ber_asymptotic") is None
@@ -825,7 +831,7 @@ class TestSweep:
                    UserSpec(2.0, "reflection", 8, 0.2)),
             bs_ris_distance=20.0, sic_mode=DETECTED)
         rule = StoppingRule(min_errors=1, max_trials=1000)
-        for cell in run_sweep(cfg, "snr_db", [0.0], [1, 2], rule, seed=1).cells:
+        for cell in run_sweep(FigureRun("", cfg, "snr_db", [0.0], [1, 2]), rule, seed=1).cells:
             assert all(math.isnan(route(cell, name)) for name in ROUTE_NAMES)
             assert cell.notes == ("detected-SIC analytics are derived for two users only",)
 
@@ -834,5 +840,5 @@ class TestSweep:
                              users=(UserSpec(2.0, "transmission", 64, 1.0),),
                              bs_ris_distance=5.0)
         rule = StoppingRule(min_errors=10, max_trials=70_000)
-        result = run_sweep(cfg, "snr_db", [60.0], [0], rule, seed=5)
+        result = run_sweep(FigureRun("", cfg, "snr_db", [60.0], [0]), rule, seed=5)
         assert any("one-sided" in n for n in result.cells[0].notes)

@@ -9,6 +9,7 @@ import errno
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ from starnoma.engine import (
     CLASSICAL_VARIANT,
     STAR_VARIANT,
     BerEstimate,
+    FigureRun,
     ScenarioConfig,
     StoppingRule,
     UserSpec,
     run_ber_point,
     run_classical_point,
-    run_sweep,
 )
 from starnoma.errors import ConfigError, InvalidParameterError, NumericError
 from starnoma.noma import PowerAllocation
@@ -195,14 +196,14 @@ class TestConstructorsRefuseNonFinite:
         with pytest.raises(ConfigError, match="block_size"):
             run_ber_point(cfg, 10.0, 0, block_size=0)
         with pytest.raises(ConfigError, match=r"sweep\.values\[1\]"):
-            run_sweep(cfg, "snr_db", [0.0, math.inf], [0])
+            FigureRun("", cfg, "snr_db", [0.0, math.inf], [0])
         with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
-            run_sweep(cfg, "elements", [4, 8], [0], snr_db=math.nan)
+            FigureRun("", cfg, "elements", [4, 8], [0], snr_db=math.nan)
         with pytest.raises(ConfigError, match=r"sweep\.users must be nonempty"):
-            run_sweep(cfg, "snr_db", [0.0], [])
+            FigureRun("", cfg, "snr_db", [0.0], [])
         # A bad value late in the sweep fails before the first point runs.
         with pytest.raises(ConfigError, match=r"sweep\.values"):
-            run_sweep(cfg, "elements", [4, 8.5], [0], snr_db=10.0)
+            FigureRun("", cfg, "elements", [4, 8.5], [0], snr_db=10.0)
         assert blocks == []
 
     @pytest.mark.parametrize("db", EXTREME_DB)
@@ -211,9 +212,9 @@ class TestConstructorsRefuseNonFinite:
         with pytest.raises(ConfigError, match="snr_db"):
             run_ber_point(cfg, db, 0)
         with pytest.raises(ConfigError, match=r"sweep\.values\[0\]"):
-            run_sweep(cfg, "snr_db", [db], [0])
+            FigureRun("", cfg, "snr_db", [db], [0])
         with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
-            run_sweep(cfg, "elements", [4, 8], [0], snr_db=db)
+            FigureRun("", cfg, "elements", [4, 8], [0], snr_db=db)
         assert blocks == []
 
     def test_snr_from_db_range(self):
@@ -225,18 +226,18 @@ class TestConstructorsRefuseNonFinite:
     def test_sweep_users_are_counts(self, user, blocks):
         # int() maps each to a valid user, but none is a user index.
         with pytest.raises(ConfigError, match=r"sweep\.users\[0\]"):
-            run_sweep(star_config(), "snr_db", [0.0], [user])
+            FigureRun("", star_config(), "snr_db", [0.0], [user])
         assert blocks == []
 
     def test_sweep_user_out_of_range(self, blocks):
         with pytest.raises(ConfigError, match=r"sweep\.users: user 3 out of range 1\.\.2"):
-            run_sweep(star_config(), "snr_db", [0.0], [2])
+            FigureRun("", star_config(), "snr_db", [0.0], [2])
         assert blocks == []
 
     def test_sweep_user_repeated(self, blocks):
         # Both cells would draw stream (0, 1) and report the same estimate twice.
         with pytest.raises(ConfigError, match=r"sweep\.users: user 2 is repeated"):
-            run_sweep(star_config(), "snr_db", [0.0], [1, 0, 1])
+            FigureRun("", star_config(), "snr_db", [0.0], [1, 0, 1])
         assert blocks == []
 
     @pytest.mark.parametrize("runner, variant", [(run_ber_point, STAR_VARIANT),
@@ -532,17 +533,33 @@ def test_empty_preset_arguments(preset, kwargs, named):
 
 
 @pytest.mark.parametrize("preset, args, named", [
-    (presets.fig2, {"element_counts": [8.5]}, "fig2 element_counts"),
-    (presets.fig2, {"element_counts": [True]}, "fig2 element_counts"),
-    (presets.fig2, {"element_counts": [-0.5]}, "fig2 element_counts"),
+    (presets.fig2, {"element_counts": [8.5]}, "fig2 element_counts[0]"),
+    (presets.fig2, {"element_counts": [True]}, "fig2 element_counts[0]"),
+    (presets.fig2, {"element_counts": [-0.5]}, "fig2 element_counts[0]"),
     (presets.fig3, {"allocations": [(0.7, 0.3)], "element_counts": [8.7]},
-     "fig3 element_counts"),
-    (presets.fig4, {"element_counts": [6.5, 8]}, "fig4 element_counts"),
-    (presets.fig5, {"element_counts": (4.5, 4, 8)}, "fig5 element_counts"),
+     "fig3 element_counts[0]"),
+    (presets.fig4, {"element_counts": [6.5, 8]}, "fig4 element_counts[0]"),
+    (presets.fig5, {"element_counts": (4.5, 4, 8)}, "fig5 element_counts[0]"),
 ], ids=["fig2-fraction", "fig2-bool", "fig2-negative", "fig3", "fig4", "fig5"])
 def test_preset_refuses_a_non_integral_element_count(preset, args, named):
     # int() would run another count under a name made from the given one.
-    with pytest.raises(ConfigError, match=f"^{named} must be an integer >= 0, got "):
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)} must be an integer >= 0, got "):
+        preset(**args)
+
+
+@pytest.mark.parametrize("preset, args, named", [
+    (presets.fig2, {"snr_values": [True, 10]}, "sweep.values[0]"),
+    (presets.fig2, {"snr_values": ["10", "20"]}, "sweep.values[0]"),
+    (presets.fig5, {"element_counts": (4, 4, 8), "snr_values": [False, True]},
+     "sweep.values[0]"),
+    (presets.fig3, {"allocations": [(math.nan, 0.5)], "element_counts": [4]},
+     "fig3 allocations[0][0]"),
+    (presets.fig4, {"allocations": [(0.3, 0.7)]}, "fig4 allocations[0][0]"),
+], ids=["fig2-bool", "fig2-string", "fig5-bool", "fig3-nan", "fig4-order"])
+def test_preset_refuses_what_it_would_convert(preset, args, named):
+    # float() would run 1 dB for True and 10 dB for "10"; a NaN split would
+    # fail in the run name, and a reversed one under the config's field names.
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)} must "):
         preset(**args)
 
 
@@ -550,10 +567,8 @@ def test_empty_preset_grids():
     # The presets read an empty grid as empty too: the sweep refuses it.
     with pytest.raises(ConfigError, match="fig4 element_counts must be nonempty"):
         presets.fig4(element_counts=[])
-    run = presets.fig2(element_counts=[4], snr_values=[]).runs[0]
     with pytest.raises(ConfigError, match="sweep.values must be nonempty"):
-        run_sweep(run.config, run.axis, run.values, run.users,
-                  StoppingRule(min_errors=1, max_trials=1))
+        presets.fig2(element_counts=[4], snr_values=[])
 
 
 # (sweep options, the start of the error): a value refused by the sweep
@@ -564,11 +579,16 @@ SWEEP_OPTION_CASES = [
     (["--snr-db", "nan"], "error: --snr-db must be a finite number"),
     (["--axis", "elements", "--values", "4,8"],
      "error: --snr-db must be given for a sweep over elements"),
+    (["--axis", "elements", "--values", "4,8.5", "--snr-db", "10"],
+     "error: --values[1] must be an integer >= 0, got 8.5"),
+    (["--axis", "power", "--values", "0.6,1.2", "--snr-db", "10"],
+     "error: --values[1]: the stronger-power coefficient must lie in [0.5, 1)"),
 ]
 
 
 @pytest.mark.parametrize("options, message", SWEEP_OPTION_CASES,
-                         ids=["values-nan", "values-empty", "snr-db-nan", "axis-without-snr-db"])
+                         ids=["values-nan", "values-empty", "snr-db-nan", "axis-without-snr-db",
+                              "elements-fraction", "power-out-of-range"])
 def test_sweep_option_names_its_refused_value(options, message, tmp_path, capsys, blocks):
     doc = json.loads(json.dumps(CONFIG))
     del doc["sweep"]["snr_db"]
@@ -576,6 +596,15 @@ def test_sweep_option_names_its_refused_value(options, message, tmp_path, capsys
     rc, err = run_cli(["sweep", "--config", path, *options,
                        "--out", str(tmp_path / "o.csv"), *FAST], capsys)
     assert rc == 1 and err.startswith(message) and blocks == []
+
+
+def test_refused_sweep_value_creates_no_directory(tmp_path, capsys, blocks):
+    # The run is checked before any output path, so no parent is made for one.
+    path = write_config(tmp_path / "c.json", CONFIG)
+    rc, err = run_cli(["sweep", "--config", path, "--axis", "snr_db", "--values", "0,nan",
+                       "--out", str(tmp_path / "new" / "deep" / "x.csv"), *FAST], capsys)
+    assert rc == 1 and "--values[1]" in err and blocks == []
+    assert not (tmp_path / "new").exists()
 
 
 def test_sweep_option_names_the_axis_it_chose(tmp_path, capsys, blocks):
