@@ -18,16 +18,15 @@ and :class:`UserSpec`, whose rules check and convert each value: numeric
 fields must be JSON numbers, not ``true``/``false`` or quoted numbers.
 Users are numbered from 1 in configs, options and outputs; indices are
 zero-based inside the package.  An absent list option means its default
-(every user, a preset's grid); an empty one is an error.  ``figure``
-takes the options its preset has parameters for: fig2 and fig5
-``--elements`` and ``--snr-values``, fig3 those and ``--allocations``, fig4
-``--elements``, ``--allocations`` and ``--fixed-snr-db``.  fig3 needs
-``--allocations`` and ``--elements``, fig5 ``--elements``, and any other
-option is an error.  One object, :class:`FigureRun`, checks a sweep's
-fields.  ``sweep``, ``point`` and ``figure`` check every value before any
-output path is created, and name a refused value (an SNR or element grid
-that does not increase, fig5 counts that are not three) or a missing
-fixed SNR by the option or ``sweep`` field it came from.
+(every user, a preset's grid); an empty one is an error.  Each ``figure``
+subcommand takes only the options its preset has parameters for, and needs
+those with no default: ``starnoma figure figN --help`` lists them, and a
+missing or untaken option exits 1 with argparse's message.  One object,
+:class:`FigureRun`, checks a sweep's fields.  ``sweep``, ``point`` and
+``figure`` check every value before any output path is created, and name
+a refused value (an SNR or element grid that does not increase, fig5
+counts that are not three) or a missing fixed SNR by the option or
+``sweep`` field it came from.
 ``--seed`` must be an integer >= 0.
 Exit codes: 0 success, 1 validation failure (including NaN or infinite
 input), 2 runtime/numeric failure.  Every output, the manifest included,
@@ -196,17 +195,19 @@ def write_sweep_csv(result: SweepResult, path: Path) -> None:
 
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:
-    doc = {"axis": result.axis, "rows": [_row(cell) for cell in result.cells]}
+    doc = {"axis": result.run.axis, "rows": [_row(cell) for cell in result.cells]}
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def collect_notes(result: SweepResult) -> List[str]:
+    """The run's warnings and its cells' notes; a named run's carry its name."""
+    run = result.run
     notes = list(result.warnings)
     for cell in result.cells:
         for note in cell.notes:
-            notes.append(f"{result.axis}={_fmt_axis(cell.axis_value)} "
+            notes.append(f"{run.axis}={_fmt_axis(cell.axis_value)} "
                          f"user={cell.user + 1}: {note}")
-    return notes
+    return [f"{run.name}: {n}" for n in notes] if run.name else notes
 
 
 def write_manifest(path: Path, config_digests: Sequence[str], seed: int,
@@ -300,8 +301,8 @@ def _run(args, runs: Sequence[FigureRun],
     options, each under its own name, and every output path, then run each
     sweep.  A refused option or path, or a path given twice (the second run
     would replace the first's output), stops before the first block."""
-    rule = StoppingRule(min_errors=count("--min-errors", args.min_errors, 1),
-                        max_trials=count("--max-trials", args.max_trials, 1))
+    with _renamed({"min_errors": "--min-errors", "max_trials": "--max-trials"}):
+        rule = StoppingRule(args.min_errors, args.max_trials)
     workers = count("--workers", args.workers, 1)
     seed = count("--seed", args.seed)
     for i, path in enumerate(outputs):
@@ -320,12 +321,9 @@ def _run_and_write(args, runs: Sequence[FigureRun], paths: Sequence[Path],
     temporary files into place, the manifest last.  A failure or interrupt
     at any step puts back the old file of each output already renamed, or
     removes it if it had none, so the directory holds the complete old set
-    of outputs or the complete new one.  A named run's notes carry its name."""
+    of outputs or the complete new one."""
     targets = [*paths, manifest]
     results, rule, workers = _run(args, runs, targets)
-    notes: List[str] = []
-    for run, result in zip(runs, results):
-        notes.extend(f"{run.name}: {n}" if run.name else n for n in collect_notes(result))
     temps, olds = ([path.with_name(f".{path.name}.{os.getpid()}.{kind}") for path in targets]
                    for kind in ("tmp", "old"))
     renamed: List[Path] = []
@@ -333,8 +331,9 @@ def _run_and_write(args, runs: Sequence[FigureRun], paths: Sequence[Path],
         for path, result, tmp in zip(paths, results, temps):
             write(result, tmp)
         path = manifest
-        write_manifest(temps[-1], [config_hash(run.config) for run in runs],
-                       args.seed, paths, notes, rule, workers)
+        write_manifest(temps[-1], [config_hash(result.run.config) for result in results],
+                       args.seed, paths, [n for r in results for n in collect_notes(r)],
+                       rule, workers)
         for path, old in zip(targets, olds):
             if os.path.lexists(path):
                 os.link(path, old, follow_symlinks=False)
@@ -395,7 +394,6 @@ def cmd_sweep(args) -> int:
         snr_name = "--snr-db"  # the fixed SNR an --axis sweep may need
     with _renamed({"sweep.axis": axis_name, "sweep.values": values_name,
                    "sweep.snr_db": snr_name}):
-        # The unnamed run's notes go unprefixed.
         run = FigureRun("", config, axis, values or (),
                         _user_indices(users_name, users, config.n_users), snr_db)
     out = Path(args.out)
@@ -403,36 +401,24 @@ def cmd_sweep(args) -> int:
                           write_sweep_csv if args.format == "csv" else write_sweep_json)
 
 
-# (option, args attribute, preset parameter); the preset's signature says
-# which options a figure takes, needs and defaults.
+# (option, preset parameter, argparse type); a figure's subcommand takes
+# the options its preset has a parameter for, and needs those with no default.
 _FIGURE_OPTIONS = (
-    ("--elements", "elements", "element_counts"),
-    ("--snr-values", "snr_values", "snr_values"),
-    ("--allocations", "allocations", "allocations"),
-    ("--fixed-snr-db", "fixed_snr_db", "snr_db"),
+    ("--elements", "element_counts", _comma_list(int)),
+    ("--snr-values", "snr_values", _comma_list(float)),
+    ("--allocations", "allocations", _comma_list(_power_pair)),
+    ("--fixed-snr-db", "snr_db", float),
 )
 
 
 def _figure_plan(args) -> presets.FigurePlan:
-    preset = getattr(presets, args.name)
-    params = inspect.signature(preset).parameters
-    given, missing = {}, []
-    for option, attr, param in _FIGURE_OPTIONS:
-        value = getattr(args, attr)
-        if value is not None:
-            if param not in params:
-                raise ConfigError(f"{args.name} takes no {option}")
-            given[param] = value
-        elif param in params and params[param].default is params[param].empty:
-            missing.append(option)
-    if missing:
-        raise ConfigError(f"{args.name} leaves these parameters open; pass "
-                          + " and ".join(missing))
+    given = {param: getattr(args, param) for _, param, _ in _FIGURE_OPTIONS
+             if getattr(args, param, None) is not None}
     # A preset names a refused count or split "<figure> <parameter>[i]", and
     # its runs the SNR grid and fixed SNR they were given as sweep fields.
-    names = {f"{args.name} {param}": option for option, _, param in _FIGURE_OPTIONS}
+    names = {f"{args.name} {param}": option for option, param, _ in _FIGURE_OPTIONS}
     with _renamed({**names, "sweep.values": "--snr-values", "sweep.snr_db": "--fixed-snr-db"}):
-        return preset(**given)
+        return getattr(presets, args.name)(**given)
 
 
 def cmd_figure(args) -> int:
@@ -482,16 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("figure", help="run a figure-reproduction preset")
-    p.add_argument("name", choices=presets.FIGURE_NAMES)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--snr-values", type=_comma_list(float), default=None)
-    p.add_argument("--elements", type=_comma_list(int), default=None)
-    p.add_argument("--allocations", type=_comma_list(_power_pair), default=None)
-    p.add_argument("--fixed-snr-db", type=float, default=None,
-                   help="operating SNR for element sweeps (fig4)")
-    _add_common(p)
-    p.set_defaults(func=cmd_figure)
+    figures = sub.add_parser("figure", help="run a figure-reproduction preset").add_subparsers(
+        dest="name", required=True)
+    for name in presets.FIGURE_NAMES:
+        preset = getattr(presets, name)
+        p = figures.add_parser(name, help=preset.__doc__.splitlines()[0])
+        p.add_argument("--out", required=True, help="output directory")
+        params = inspect.signature(preset).parameters
+        for option, param, kind in _FIGURE_OPTIONS:
+            if param in params:
+                p.add_argument(option, dest=param, type=kind, default=None,
+                               required=params[param].default is params[param].empty)
+        _add_common(p)
+        p.set_defaults(func=cmd_figure)
     return parser
 
 

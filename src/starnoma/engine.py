@@ -467,9 +467,7 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    axis: str
-    values: Tuple[float, ...]
-    users: Tuple[int, ...]
+    run: FigureRun
     cells: Tuple[SweepCell, ...]
     warnings: Tuple[str, ...] = ()
 
@@ -624,4 +622,4 @@ def run_sweep(run: FigureRun, rule: StoppingRule = StoppingRule(), seed: int = 0
                 notes = notes + (f"no errors observed in {est.trials} trials; "
                                  "interval is one-sided",)
             cells.append(SweepCell(value, user, est, routes, notes))
-    return SweepResult(run.axis, run.values, run.users, tuple(cells), warn)
+    return SweepResult(run, tuple(cells), warn)

@@ -1,7 +1,7 @@
 """Figure-reproduction presets.
 
 Each preset assembles the sweep runs behind one results figure, and its
-signature is the ``figure`` command's schema.  Values the source material
+signature is its ``figure`` subcommand's schema.  Values the source material
 leaves open are either required arguments (fig3 allocations and element
 counts, fig5 element counts) or defaulted here with the choice documented:
 
@@ -64,10 +64,12 @@ def _counts(name: str, values: Sequence) -> Tuple[int, ...]:
     return tuple(count(f"{name}[{i}]", n) for i, n in enumerate(nonempty(name, values)))
 
 
-def _splits(name: str, pairs: Sequence) -> Tuple[Tuple[float, ...], ...]:
-    """Power splits: at least one, each the coefficients of a config's users."""
-    return tuple(power_coefficients(f"{name}[{i}][{{}}]", pair)
-                 for i, pair in enumerate(nonempty(name, pairs)))
+def _splits(name: str, pairs: Sequence) -> Tuple[Tuple[float, float], ...]:
+    """Power splits: at least one, each the coefficients of two users."""
+    for i, pair in enumerate(nonempty(name, pairs)):
+        if len(pair) != 2:
+            raise ConfigError(f"{name}[{i}] must be two power coefficients, got {pair!r}")
+    return tuple(power_coefficients(f"{name}[{i}][{{}}]", pair) for i, pair in enumerate(pairs))
 
 
 def fig2(element_counts: Sequence[int] = (25, 50, 75),

@@ -214,6 +214,10 @@ class TestSignCombinations:
         assert sorted(amps) == pytest.approx(
             [0.2889374690289095, 1.3843825840392416], rel=1e-6, abs=0)
 
+    def test_user_past_the_split_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="user index 2 out of range"):
+            make_params(index=2)
+
     def test_first_of_three_counts(self):
         assert len(sign_combinations(0, PowerAllocation((0.5, 0.3, 0.2)))) == 4
 

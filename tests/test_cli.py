@@ -153,6 +153,17 @@ class TestPointCommand:
         assert rc == 1
         assert "power_coefficient" in capsys.readouterr().err
 
+    def test_ordering_warning_goes_to_stderr(self, tmp_path, capsys):
+        # User 1 takes the larger power share and is also the nearer user.
+        doc = json.loads(json.dumps(STAR_CONFIG))
+        doc["users"][0]["distance"], doc["users"][1]["distance"] = 4.0, 6.0
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["point", "--config", str(path), "--snr-db", "5", *fast_args()])
+        out, err = capsys.readouterr()
+        assert rc == 0 and len(out.splitlines()) == 2
+        assert err.startswith("warning: user 1 has higher power than user 2")
+
     def test_user_out_of_range_exits_one(self, config_path, capsys):
         rc = main(["point", "--config", str(config_path), "--snr-db", "5",
                    "--user", "7", *fast_args()])
@@ -504,6 +515,12 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         rc = main(["sweep"])
         assert rc == 1
+
+    def test_figure_help_lists_only_its_options(self, capsys):
+        # Each figure's subcommand is built from its preset's signature.
+        rc = main(["figure", "fig3", "--help"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "--allocations" in out and "--fixed-snr-db" not in out
 
 
 def fresh_python(code, *args):

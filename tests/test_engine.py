@@ -100,6 +100,13 @@ class TestConfigValidation:
                            users=(UserSpec(3.0, "transmission", 0, 0.7, 10.0),
                                   UserSpec(2.0, "reflection", 0, 0.3)))
 
+    def test_classical_has_no_analytic_params(self):
+        cfg = ScenarioConfig(variant=CLASSICAL_VARIANT,
+                             users=(UserSpec(3.0, "transmission", 0, 0.7, 10.0),
+                                    UserSpec(2.0, "reflection", 0, 0.3, 8.0)))
+        with pytest.raises(ConfigError, match="surface variant only"):
+            cfg.analytic_params(0)
+
     def test_runner_variant_mismatch(self):
         cfg = star_config()
         with pytest.raises(ConfigError):
@@ -723,7 +730,7 @@ class TestSweep:
         result = run_sweep(FigureRun("", cfg, "snr_db", [0.0, 5.0, 10.0], [0, 1]), rule,
                            seed=1)
         assert len(result.cells) == 6
-        assert result.values == (0.0, 5.0, 10.0)
+        assert result.run.values == (0.0, 5.0, 10.0)
 
     def test_single_point_axis(self):
         cfg = star_config()

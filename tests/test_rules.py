@@ -292,6 +292,27 @@ class TestCommandLineDefects:
                            "--out", str(tmp_path / "o.csv"), *FAST], capsys)
         assert rc == 1 and "sweep.values[1]" in err and blocks == []
 
+    @pytest.mark.parametrize("doc, named", [
+        ({**CONFIG, "users": [{k: v for k, v in CONFIG["users"][0].items() if k != "zone"},
+                              CONFIG["users"][1]]}, "users[0].zone: required field missing"),
+        ([CONFIG], "top level: expected an object"),
+        ({**CONFIG, "plot": {}}, "top level: unknown section(s) ['plot']"),
+        ({k: v for k, v in CONFIG.items() if k != "users"}, "users: a nonempty list"),
+        ({**CONFIG, "users": []}, "users: a nonempty list"),
+        ({**CONFIG, "sweep": {**CONFIG["sweep"], "values": 5.0}}, "sweep.values: not a list"),
+    ], ids=["missing-field", "not-an-object", "unknown-section",
+            "users-absent", "users-empty", "values-not-a-list"])
+    def test_malformed_config_is_named(self, doc, named, tmp_path, capsys, blocks):
+        path = write_config(tmp_path / "c.json", doc)
+        rc, err = run_cli(["sweep", "--config", path, "--out", str(tmp_path / "o.csv"),
+                           *FAST], capsys)
+        assert rc == 1 and f"error: {named}" in err and blocks == []
+
+    def test_unreadable_config(self, tmp_path, capsys, blocks):
+        path = str(tmp_path / "absent.json")
+        rc, err = run_cli(["point", "--config", path, "--snr-db", "5", *FAST], capsys)
+        assert rc == 1 and f"error: cannot read config {path}" in err and blocks == []
+
     @pytest.mark.parametrize("flag", ["--min-errors", "--max-trials"])
     def test_zero_budget_is_a_validation_failure(self, tmp_path, capsys, flag, blocks):
         path = write_config(tmp_path / "c.json", CONFIG)
@@ -555,10 +576,14 @@ def test_preset_refuses_a_non_integral_element_count(preset, args, named):
     (presets.fig3, {"allocations": [(math.nan, 0.5)], "element_counts": [4]},
      "fig3 allocations[0][0]"),
     (presets.fig4, {"allocations": [(0.3, 0.7)]}, "fig4 allocations[0][0]"),
-], ids=["fig2-bool", "fig2-string", "fig5-bool", "fig3-nan", "fig4-order"])
+    (presets.fig4, {"allocations": [(0.5, 0.3, 0.2)]}, "fig4 allocations[0]"),
+    (presets.fig3, {"allocations": [(1.0,)], "element_counts": [4]}, "fig3 allocations[0]"),
+], ids=["fig2-bool", "fig2-string", "fig5-bool", "fig3-nan", "fig4-order", "fig4-three",
+        "fig3-one"])
 def test_preset_refuses_what_it_would_convert(preset, args, named):
     # float() would run 1 dB for True and 10 dB for "10"; a NaN split would
-    # fail in the run name, and a reversed one under the config's field names.
+    # fail in the run name, a reversed one under the config's field names,
+    # and one of other than two coefficients where the run unpacks it.
     with pytest.raises(ConfigError, match=f"^{re.escape(named)} must "):
         preset(**args)
 
@@ -653,7 +678,24 @@ UNTAKEN_OPTION_CASES = [
 def test_option_the_figure_does_not_take(figure, option, needs, tmp_path, capsys, blocks):
     argv = ["figure", figure, *option, *needs, "--out", str(tmp_path / "out")]
     rc, err = run_cli(argv + FAST, capsys)
-    assert rc == 1 and f"{figure} takes no {option[0]}" in err and blocks == []
+    assert rc == 1 and f"unrecognized arguments: {option[0]}" in err and blocks == []
+
+
+# (figure, the options given, the option it needs that is missing): argparse
+# refuses the command by the option's name before any output path is made.
+MISSING_OPTION_CASES = [
+    ("fig3", ["--elements", "4"], "--allocations"),
+    ("fig5", ["--snr-values", "0,10"], "--elements"),
+]
+
+
+@pytest.mark.parametrize("figure,given,missing", MISSING_OPTION_CASES,
+                         ids=[f"{c[0]}{c[2]}" for c in MISSING_OPTION_CASES])
+def test_option_the_figure_needs(figure, given, missing, tmp_path, capsys, blocks):
+    argv = ["figure", figure, *given, "--out", str(tmp_path / "new")]
+    rc, err = run_cli(argv + FAST, capsys)
+    assert rc == 1 and f"the following arguments are required: {missing}" in err
+    assert blocks == [] and not (tmp_path / "new").exists()
 
 
 # (figure, an option with a value the preset refuses, the options the figure
