@@ -401,22 +401,26 @@ def cmd_sweep(args) -> int:
                           write_sweep_csv if args.format == "csv" else write_sweep_json)
 
 
-# (option, preset parameter, argparse type); a figure's subcommand takes
-# the options its preset has a parameter for, and needs those with no default.
+# (option, preset parameter, argparse type, metavar, help); a figure's
+# subcommand takes the options its preset has a parameter for, and needs
+# those with no default.
 _FIGURE_OPTIONS = (
-    ("--elements", "element_counts", _comma_list(int)),
-    ("--snr-values", "snr_values", _comma_list(float)),
-    ("--allocations", "allocations", _comma_list(_power_pair)),
-    ("--fixed-snr-db", "snr_db", float),
+    ("--elements", "element_counts", _comma_list(int), "N,...",
+     "element counts: one curve each (fig2, fig3), the swept grid (fig4), "
+     "or the three users' counts (fig5)"),
+    ("--snr-values", "snr_values", _comma_list(float), "DB,...", "the swept SNRs in dB"),
+    ("--allocations", "allocations", _comma_list(_power_pair), "A1:A2,...",
+     "power splits of the two users, one curve each"),
+    ("--fixed-snr-db", "snr_db", float, "DB", "operating SNR of the element sweep (fig4)"),
 )
 
 
 def _figure_plan(args) -> presets.FigurePlan:
-    given = {param: getattr(args, param) for _, param, _ in _FIGURE_OPTIONS
+    given = {param: getattr(args, param) for _, param, *_ in _FIGURE_OPTIONS
              if getattr(args, param, None) is not None}
     # A preset names a refused count or split "<figure> <parameter>[i]", and
     # its runs the SNR grid and fixed SNR they were given as sweep fields.
-    names = {f"{args.name} {param}": option for option, param, _ in _FIGURE_OPTIONS}
+    names = {f"{args.name} {param}": option for option, param, *_ in _FIGURE_OPTIONS}
     with _renamed({**names, "sweep.values": "--snr-values", "sweep.snr_db": "--fixed-snr-db"}):
         return getattr(presets, args.name)(**given)
 
@@ -449,22 +453,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("point", help="single SNR point with analytic values")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, help="scenario config (JSON)")
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--user", type=int, default=None, help="1-based; default all")
     _add_common(p)
     p.set_defaults(func=cmd_point)
 
     p = sub.add_parser("sweep", help="sweep an axis and write curve data")
-    p.add_argument("--config", required=True)
-    p.add_argument("--axis", choices=AXES, default=None)
-    p.add_argument("--values", type=_comma_list(float), default=None)
+    p.add_argument("--config", required=True,
+                   help="scenario config (JSON); its sweep section gives the defaults")
+    p.add_argument("--axis", choices=AXES, default=None, help="the swept axis")
+    p.add_argument("--values", type=_comma_list(float), default=None, metavar="X,...",
+                   help="the axis values, comma separated")
     p.add_argument("--users", type=_comma_list(int), default=None,
                    help="1-based, comma separated")
     p.add_argument("--snr-db", type=float, default=None,
                    help="fixed SNR for elements/power sweeps")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True,
+                   help="output file; its manifest is written to OUT.manifest.json")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default: csv)")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -475,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = figures.add_parser(name, help=preset.__doc__.splitlines()[0])
         p.add_argument("--out", required=True, help="output directory")
         params = inspect.signature(preset).parameters
-        for option, param, kind in _FIGURE_OPTIONS:
+        for option, param, kind, metavar, text in _FIGURE_OPTIONS:
             if param in params:
-                p.add_argument(option, dest=param, type=kind, default=None,
-                               required=params[param].default is params[param].empty)
+                p.add_argument(option, dest=param, type=kind, default=None, metavar=metavar,
+                               help=text, required=params[param].default is params[param].empty)
         _add_common(p)
         p.set_defaults(func=cmd_figure)
     return parser

@@ -41,6 +41,11 @@ STAR_CONFIG = {
 }
 
 
+# STAR_CONFIG with detected SIC: the cancelling user takes the imperfect-SIC
+# analytic path.
+DETECTED = {**STAR_CONFIG, "system": {**STAR_CONFIG["system"], "sic_mode": "detected"}}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scenario.json"
@@ -135,7 +140,7 @@ class TestPointCommand:
         out = capsys.readouterr().out
         assert "ber_asymptotic=no-floor" in out
 
-    def test_max_trials_is_exact(self, config_path, capsys):
+    def test_max_trials_is_exact(self, config_path, tmp_path, capsys):
         rc = main(["point", "--config", str(config_path), "--snr-db", "5",
                    "--min-errors", "1000000", "--max-trials", "1000"])
         assert rc == 0
@@ -143,6 +148,23 @@ class TestPointCommand:
         assert len(lines) == 2
         assert all(" trials=1000 " in line for line in lines)
         assert all(line.endswith(" stop=max_trials") for line in lines)
+        # A point that --min-errors stops after several blocks prints the same
+        # bytes at one, two and five workers: blocks merge in index order, and
+        # a block run past the stop gives no result.  Detected SIC on two users
+        # takes the imperfect-SIC analytic path, so both routes are numbers.
+        path = tmp_path / "detected.json"
+        path.write_text(json.dumps(DETECTED))
+        printed = []
+        for workers in ("1", "2", "5"):
+            rc = main(["point", "--config", str(path), "--user", "2", "--snr-db", "55",
+                       "--min-errors", "20", "--workers", workers])
+            assert rc == 0
+            printed.append(capsys.readouterr())
+        out = printed[0].out
+        assert out.startswith("user=2 ") and out.endswith(" stop=min_errors\n")
+        assert int(out.split(" trials=")[1].split()[0]) > 2 * DEFAULT_BLOCK_SIZE
+        assert "ber_closed_form=nan" not in out and "ber_numeric=nan" not in out
+        assert printed[1] == printed[0] and printed[2] == printed[0]
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         bad = json.loads(json.dumps(STAR_CONFIG))
@@ -200,6 +222,18 @@ class TestSweepCommand:
                        "--seed", "11", *fast_args()])
             assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # JSON rows on the detected-SIC config are the same bytes at one and
+        # two workers; with two, a second block runs beside each point's first.
+        path = tmp_path / "detected.json"
+        path.write_text(json.dumps(DETECTED))
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            rc = main(["sweep", "--config", str(path), "--out", str(out), "--format", "json",
+                       "--workers", workers, *fast_args()])
+            assert rc == 0
+            written.append(out.read_bytes())
+        assert written[1] == written[0]
 
     def test_json_format_mirrors_schema(self, config_path, tmp_path):
         out = tmp_path / "curve.json"
@@ -239,8 +273,7 @@ class TestSweepCommand:
 
 # The sweep config with detected SIC and both users in one zone: the
 # cancelling user's asymptote is NaN with a note, the other's is a number.
-DETECTED_SAME_ZONE = {**STAR_CONFIG,
-                      "system": {**STAR_CONFIG["system"], "sic_mode": "detected"},
+DETECTED_SAME_ZONE = {**DETECTED,
                       "users": [{**u, "zone": "transmission"} for u in STAR_CONFIG["users"]]}
 
 
@@ -332,6 +365,16 @@ class TestFigureCommand:
         assert rc == 0
         rows = (tmp_path / "f5" / "fig5_three_user.csv").read_text().splitlines()[1:]
         assert {r.split(",")[1] for r in rows} == {"1", "2", "3"}
+        # Same-zone leakage and a three-user cancellation chain write the
+        # same CSV bytes at one and two workers.
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            rc = main(["figure", "fig5", "--out", str(out), "--elements", "4,4,8",
+                       "--snr-values", "0,20", "--workers", workers, *fast_args()])
+            assert rc == 0
+            written.append((out / "fig5_three_user.csv").read_bytes())
+        assert written[1] == written[0]
 
     def test_fig4_default_allocations_differ_by_tenth(self, tmp_path):
         rc = main(["figure", "fig4", "--out", str(tmp_path / "f4"),
@@ -505,6 +548,15 @@ class TestFigureCommand:
         for name in ("fig4_a70.csv", "fig4_a80.csv"):
             assert ((tmp_path / "r1" / name).read_bytes()
                     == (tmp_path / "r2" / name).read_bytes())
+        # A rerun over existing outputs records its own seed, and leaves no
+        # temporary, kept-back or probe file (a dot-file).
+        rc = main(["figure", "fig4", "--out", str(tmp_path / "r1"),
+                   "--elements", "6,10", "--seed", "1", *fast_args()])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "r1" / "fig4.manifest.json").read_text())
+        assert manifest["seed"] == 1
+        assert sorted(p.name for p in (tmp_path / "r1").iterdir()) == [
+            "fig4.manifest.json", "fig4_a70.csv", "fig4_a80.csv"]
 
 
 class TestUsageErrors:
@@ -521,6 +573,14 @@ class TestUsageErrors:
         rc = main(["figure", "fig3", "--help"])
         out = capsys.readouterr().out
         assert rc == 0 and "--allocations" in out and "--fixed-snr-db" not in out
+        # Each option shows its help and a metavar of the form it takes, not
+        # the name of the preset parameter it is stored under.
+        rc = main(["figure", "fig4", "--help"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "--snr-values" not in out
+        assert "--fixed-snr-db DB " in out and "operating SNR of the element sweep (fig4)" in out
+        assert "--elements N,..." in out and "--allocations A1:A2,..." in out
+        assert not any(name in out for name in ("SNR_DB", "ELEMENT_COUNTS", "ALLOCATIONS"))
 
 
 def fresh_python(code, *args):
