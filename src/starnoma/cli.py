@@ -438,10 +438,13 @@ def cmd_figure(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--min-errors", type=int, default=StoppingRule.min_errors)
-    parser.add_argument("--max-trials", type=int, default=StoppingRule.max_trials)
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--seed", type=int, default=0, metavar="S",
+                        help="seed of the random streams, an integer >= 0 (default: 0)")
+    parser.add_argument("--min-errors", type=int, default=StoppingRule.min_errors, metavar="R",
+                        help="a point stops once it has R errors (default: %(default)s)")
+    parser.add_argument("--max-trials", type=int, default=StoppingRule.max_trials, metavar="N",
+                        help="a point stops after N trials (default: %(default)s)")
+    parser.add_argument("--workers", type=int, default=1, metavar="W",
                         help="the most blocks one point runs at once")
 
 
@@ -453,24 +456,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("point", help="single SNR point with analytic values")
-    p.add_argument("--config", required=True, help="scenario config (JSON)")
-    p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--user", type=int, default=None, help="1-based; default all")
+    p.add_argument("--config", required=True, metavar="FILE", help="scenario config (JSON)")
+    p.add_argument("--snr-db", type=float, required=True, metavar="DB", help="the SNR in dB")
+    p.add_argument("--user", type=int, default=None, metavar="K", help="1-based; default all")
     _add_common(p)
     p.set_defaults(func=cmd_point)
 
     p = sub.add_parser("sweep", help="sweep an axis and write curve data")
-    p.add_argument("--config", required=True,
+    p.add_argument("--config", required=True, metavar="FILE",
                    help="scenario config (JSON); its sweep section gives the defaults")
     p.add_argument("--axis", choices=AXES, default=None, help="the swept axis")
     p.add_argument("--values", type=_comma_list(float), default=None, metavar="X,...",
                    help="the axis values, comma separated")
-    p.add_argument("--users", type=_comma_list(int), default=None,
-                   help="1-based, comma separated")
-    p.add_argument("--snr-db", type=float, default=None,
+    p.add_argument("--users", type=_comma_list(int), default=None, metavar="K,...",
+                   help="the users, 1-based, comma separated (default: every user)")
+    p.add_argument("--snr-db", type=float, default=None, metavar="DB",
                    help="fixed SNR for elements/power sweeps")
-    p.add_argument("--out", required=True,
-                   help="output file; its manifest is written to OUT.manifest.json")
+    p.add_argument("--out", required=True, metavar="FILE",
+                   help="output file; its manifest is written to FILE.manifest.json")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default: csv)")
     _add_common(p)
@@ -481,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in presets.FIGURE_NAMES:
         preset = getattr(presets, name)
         p = figures.add_parser(name, help=preset.__doc__.splitlines()[0])
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, metavar="DIR", help="output directory")
         params = inspect.signature(preset).parameters
         for option, param, kind, metavar, text in _FIGURE_OPTIONS:
             if param in params:

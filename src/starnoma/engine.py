@@ -18,8 +18,8 @@ user; they carry unit-power streams decorrelated from the served stream
 Trials are sharded into fixed-size blocks; the last one is cut short so
 that no more than ``max_trials`` trials run.  Block ``b`` draws from its
 own PCG64 generator, seeded by ``SeedSequence(seed, spawn_key=(*stream_key,
-b))``; blocks merge in index order, and stopping rules fire at block
-boundaries, so results are bit-identical for any worker count.
+b))``; each returns a tally.  Tallies add in index order and stopping rules
+fire at block boundaries, so results are bit-identical for any worker count.
 
 A point runs at most ``workers`` blocks at once.  It submits that many
 tasks to one thread pool per process, with one thread per CPU, made at
@@ -214,17 +214,18 @@ class StoppingRule:
         if self.target_ci_width is not None:
             positive("target_ci_width", self.target_ci_width)
 
-    def reason(self, errors: int, trials: int) -> Optional[str]:
-        """The criterion (``STOP_*``) met by ``errors`` in ``trials``, checked
-        in the order max_trials, min_errors, target_ci_width; None if none is."""
-        if trials >= self.max_trials:
+    def reason(self, tally: Bernoulli) -> Optional[str]:
+        """The criterion (``STOP_*``) that ``tally`` meets, checked in the
+        order max_trials, min_errors, target_ci_width; None if none is."""
+        if tally.trials >= self.max_trials:
             return STOP_MAX_TRIALS
-        if errors < self.min_errors:
+        if tally.errors < self.min_errors:
             return None
         if self.target_ci_width is None:
             return STOP_MIN_ERRORS
-        lo, hi = wilson_interval(errors, trials)
-        return STOP_CI_WIDTH if (hi - lo) <= self.target_ci_width * (errors / trials) else None
+        lo, hi = tally.interval()
+        width = self.target_ci_width * (tally.errors / tally.trials)
+        return STOP_CI_WIDTH if (hi - lo) <= width else None
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[float, float]:
@@ -247,31 +248,44 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> Tuple[floa
 
 
 @dataclass(frozen=True)
-class BerEstimate:
-    """A run's counts, provenance and what stopped it (``STOP_*``); the point
-    estimate ``ber`` and its Wilson interval are derived from the counts."""
+class Bernoulli:
+    """A block's tally: ``errors`` own-bit errors in ``trials`` trials, and
+    their Wilson interval.  Any estimator's tally has ``errors`` (its trials'
+    summed error values), ``trials``, ``+`` (tallies add in block order) and
+    ``interval()``; the stopping rule and the estimate read only these."""
 
     errors: int
     trials: int
+
+    def __add__(self, other: Bernoulli) -> Bernoulli:
+        return Bernoulli(self.errors + other.errors, self.trials + other.trials)
+
+    def interval(self) -> Tuple[float, float]:
+        return wilson_interval(self.errors, self.trials)
+
+
+@dataclass(frozen=True)
+class BerEstimate:
+    """A run's merged tally, provenance and what stopped it (``STOP_*``); the
+    counts, ``ber`` and its interval are the tally's, and ``underflow`` (no
+    errors observed) means the interval is one-sided."""
+
+    tally: Bernoulli
     seed: int
     stream_key: Tuple[int, ...]
     block_size: int
     blocks: int
     stop_reason: str
-    ber: float = field(init=False)
-    ci_low: float = field(init=False)
-    ci_high: float = field(init=False)
 
     def __post_init__(self) -> None:
-        lo, hi = wilson_interval(self.errors, self.trials)
-        object.__setattr__(self, "ber", self.errors / self.trials)
-        object.__setattr__(self, "ci_low", lo)
-        object.__setattr__(self, "ci_high", hi)
+        self.tally.interval()  # refuses a tally with no rate
 
-    @property
-    def underflow(self) -> bool:
-        """No errors observed, so the interval is one-sided."""
-        return self.errors == 0
+    errors = property(lambda self: self.tally.errors)
+    trials = property(lambda self: self.tally.trials)
+    ber = property(lambda self: self.tally.errors / self.tally.trials)
+    ci_low = property(lambda self: self.tally.interval()[0])
+    ci_high = property(lambda self: self.tally.interval()[1])
+    underflow = property(lambda self: self.tally.errors == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +294,8 @@ class BerEstimate:
 
 def _block_errors(config: ScenarioConfig, user: int, snr: float,
                   rng: np.random.Generator, m: int,
-                  stop: Optional[threading.Event] = None) -> int:
-    """Simulate ``m`` trials of ``user``; return the observed own-bit error count.
+                  stop: Optional[threading.Event] = None) -> Bernoulli:
+    """Simulate ``m`` trials of ``user``; return their own-bit error tally.
 
     The arrays are the thread's :func:`scratch` buffers; each value is
     formed as in ``tests/oracles.py::reference_block_errors``, bit for bit.
@@ -328,7 +342,7 @@ def _block_errors(config: ScenarioConfig, user: int, snr: float,
             np.negative(term, out=term, where=np.less(r, 0.0, out=mask))
         r -= term
     np.greater_equal(r, 0.0, out=mask)
-    return int(np.count_nonzero(np.not_equal(mask, bits[:, user], out=mask)))
+    return Bernoulli(int(np.count_nonzero(np.not_equal(mask, bits[:, user], out=mask))), m)
 
 
 def _block_rng(seed: int, stream_key: Tuple[int, ...], block: int) -> np.random.Generator:
@@ -369,15 +383,10 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
     count("block_size", block_size, 1)
     n_workers = count("workers", workers, 1)
 
-    # The last block runs only the trials left under max_trials.
     n_blocks = -(-rule.max_trials // block_size)
-
-    def block_trials(b: int) -> int:
-        return min(block_size, rule.max_trials - b * block_size)
-
-    finished: Dict[int, Tuple[int, Optional[BaseException]]] = {}  # not yet merged
+    finished: Dict[int, object] = {}  # a block's tally or exception, not yet merged
     unclaimed = 0  # the next block to run; n_blocks once one has failed
-    errors = trials = blocks = 0  # merged so far
+    tally, blocks = None, 0  # the merged blocks' tally and their number
     reason: Optional[str] = None  # until a criterion fires
     failure: Optional[BaseException] = None  # the failed block the merge reached
     stop = threading.Event()  # set once the point has stopped
@@ -386,34 +395,34 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
     def run_blocks() -> None:
         # One task: merge what is next in index order, then run the next
         # unclaimed block, until none is left or the point has stopped.
-        nonlocal unclaimed, errors, trials, blocks, reason, failure
+        nonlocal unclaimed, tally, blocks, reason, failure
         b = got = None
         while True:
             with lock:
                 if b is not None:
                     finished[b] = got
-                    if got[1] is not None:
+                    if isinstance(got, BaseException):
                         unclaimed = n_blocks
                 while not stop.is_set() and blocks in finished:
-                    n, failure = finished.pop(blocks)
+                    merged = finished.pop(blocks)
+                    failure = merged if isinstance(merged, BaseException) else None
                     if failure is None:
-                        errors += n
-                        trials += block_trials(blocks)
+                        tally = merged if blocks == 0 else tally + merged
                         blocks += 1
-                        reason = rule.reason(errors, trials)
+                        reason = rule.reason(tally)
                     if failure is not None or reason is not None:
                         stop.set()  # blocks past the stop are discarded
                 b = unclaimed
                 if b >= n_blocks or stop.is_set():
                     return
                 unclaimed = b + 1
-            try:
-                got = (_block_errors(config, user, snr, _block_rng(seed, stream_key, b),
-                                     block_trials(b), stop), None)
+            try:  # the last block runs only the trials left under max_trials
+                got = _block_errors(config, user, snr, _block_rng(seed, stream_key, b),
+                                    min(block_size, rule.max_trials - b * block_size), stop)
             except BlockStopped:
                 return  # the point has stopped, so it reads no more blocks
             except BaseException as exc:  # raised by the point if the merge reaches b
-                got = (0, exc)
+                got = exc
 
     # At most the CPU count of the tasks run at once, on the process pool.
     tasks = [_block_pool().submit(run_blocks) for _ in range(min(n_workers, n_blocks))]
@@ -426,7 +435,7 @@ def _run_point(runner: str, variant: str, config: ScenarioConfig, snr_db: float,
         task.result()  # raises only what a task raised outside its blocks
     if failure is not None:
         raise failure
-    return BerEstimate(errors, trials, seed, stream_key, block_size, blocks, reason)
+    return BerEstimate(tally, seed, stream_key, block_size, blocks, reason)
 
 
 def run_ber_point(config: ScenarioConfig, snr_db: float, user: int,

@@ -39,6 +39,12 @@ Two groups of reference models live here:
 * ``reference_block_errors``, the Monte Carlo block kernel written out
   with the draws in their stream order and ``CASCADE_ROWS`` as a literal,
   so the engine's kernel must keep its random streams, not just its law.
+* ``ConditionalTally`` and ``conditional_block``, a conditional
+  (Rao-Blackwellised) Monte Carlo estimator that plugs into the engine's
+  run path in place of ``engine._block_errors``: each trial contributes its
+  error probability given the cascaded gain, and the interval is the CLT
+  one.  It checks that the run path reads a block's result only through
+  the tally's ``errors``, ``trials``, ``+`` and ``interval()``.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ from scipy import integrate
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from starnoma.analytic import UserAnalyticParams
-from starnoma.engine import CLASSICAL_VARIANT, ScenarioConfig
+from starnoma.analytic import UserAnalyticParams, q_exact
+from starnoma.engine import CLASSICAL_VARIANT, WILSON_Z, ScenarioConfig
 from starnoma.errors import InvalidParameterError, NumericError
 from starnoma.noma import DETECTED, GENIE, SIC_MODES, PowerAllocation
 from starnoma.rules import nonnegative
@@ -415,6 +421,52 @@ def reference_block_errors(config: ScenarioConfig, user: int, snr: float,
         sub = bits[:, j] if config.sic_mode == GENIE else np.where(r >= 0.0, 1, -1)
         r = r - amplitudes[j] * gain * sub
     return int(np.count_nonzero(np.where(r >= 0.0, 1, -1) != bits[:, user]))
+
+
+@dataclass(frozen=True)
+class ConditionalTally:
+    """The conditional estimator's tally: ``errors`` sums the trials' error
+    probabilities and ``squares`` their squares, over ``trials`` trials.
+    Tallies add in block order; the interval is the CLT one, mean +- z s.e."""
+
+    errors: float
+    squares: float
+    trials: int
+
+    def __add__(self, other: ConditionalTally) -> ConditionalTally:
+        return ConditionalTally(self.errors + other.errors, self.squares + other.squares,
+                                self.trials + other.trials)
+
+    def interval(self) -> Tuple[float, float]:
+        half = WILSON_Z * self.standard_error()
+        return self.errors / self.trials - half, self.errors / self.trials + half
+
+    def standard_error(self) -> float:
+        mean = self.errors / self.trials
+        variance = max(self.squares - self.errors * mean, 0.0) / max(self.trials - 1, 1)
+        return math.sqrt(variance / self.trials)
+
+
+def conditional_block(config: ScenarioConfig, user: int, snr: float,
+                      rng: np.random.Generator, m: int, stop=None) -> ConditionalTally:
+    """``engine._block_errors`` with the conditional estimator: each of ``m``
+    trials draws only its cascaded gain phi, as the engine's block draws it,
+    and contributes its error probability given phi, the mean over the sign
+    amplitudes A of Q(A phi sqrt(2 snr / P)).  That is exact under genie SIC
+    with no same-zone leakage, and only those configs are taken."""
+    own = config.users[user].elements
+    if (config.variant == CLASSICAL_VARIANT or config.sic_mode != GENIE
+            or config.zone_elements(user) != own):
+        raise InvalidParameterError("the conditional tally needs the surface "
+                                    "variant, genie SIC and no same-zone leakage")
+    amps = config.power_allocation().amplitudes()
+    signs = itertools.product((1.0, -1.0), repeat=len(amps) - user - 1)
+    sign_amps = [amps[user] + sum(s * a for s, a in zip(pattern, amps[user + 1:]))
+                 for pattern in signs]
+    phi = sample_float32_cascade_batch(config.bs_gain(), config.user_gain(user), own, m, rng)
+    root = math.sqrt(2.0 * snr / config.transmit_power)
+    values = sum(q_exact(a * phi * root) for a in sign_amps) / len(sign_amps)
+    return ConditionalTally(float(values.sum()), float(np.square(values).sum()), m)
 
 
 # ---------------------------------------------------------------------------

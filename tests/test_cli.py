@@ -581,6 +581,16 @@ class TestUsageErrors:
         assert "--fixed-snr-db DB " in out and "operating SNR of the element sweep (fig4)" in out
         assert "--elements N,..." in out and "--allocations A1:A2,..." in out
         assert not any(name in out for name in ("SNR_DB", "ELEMENT_COUNTS", "ALLOCATIONS"))
+        # So does every option of point and sweep, the shared ones included.
+        for command in ("point", "sweep"):
+            rc = main([command, "--help"])
+            out = capsys.readouterr().out
+            assert rc == 0 and "--snr-db DB " in out and "--seed S " in out, command
+            assert "an integer >= 0" in out and "a point stops once it has R errors" in out
+            assert not any(name in out for name in (
+                "CONFIG", "SNR_DB", "USERS", "USER ", "OUT", "SEED", "MIN_ERRORS",
+                "MAX_TRIALS", "WORKERS")), command
+        assert "--users K,... " in out and "the users, 1-based" in out
 
 
 def fresh_python(code, *args):

@@ -1,9 +1,10 @@
+import json
 import math
 import os
 import sys
 import threading
 import time
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +13,14 @@ import pytest
 import starnoma.analytic as analytic
 import starnoma.channel as channel
 import starnoma.engine as engine
-from oracles import (align_all, cascaded_gain, interference_coefficient,
-                     reference_block_errors, sample_realization, sic_receive)
+from oracles import (ConditionalTally, align_all, cascaded_gain, conditional_block,
+                     interference_coefficient, reference_block_errors, sample_realization,
+                     sic_receive)
 from starnoma import presets
+from starnoma.cli import config_to_dict, main
 from starnoma.engine import (
     CLASSICAL_VARIANT,
+    DEFAULT_BLOCK_SIZE,
     SNR_AXIS,
     STAR_VARIANT,
     STOP_CI_WIDTH,
@@ -24,6 +28,7 @@ from starnoma.engine import (
     STOP_MIN_ERRORS,
     WILSON_Z,
     BerEstimate,
+    Bernoulli,
     FigureRun,
     ScenarioConfig,
     StoppingRule,
@@ -154,27 +159,32 @@ class TestWilson:
 
 
 class TestBerEstimate:
-    """An estimate is its counts: the rate and interval are derived from them."""
+    """An estimate is its tally: the counts, rate and interval are read from it."""
 
     @pytest.mark.parametrize("errors, trials", [(0, 100), (7, 1000), (25, 25)])
     def test_rate_and_interval_are_the_counts(self, errors, trials):
-        est = BerEstimate(errors, trials, 0, (), trials, 1, STOP_MAX_TRIALS)
+        est = BerEstimate(Bernoulli(errors, trials), 0, (), trials, 1, STOP_MAX_TRIALS)
+        assert (est.errors, est.trials) == (errors, trials)
         assert est.ber == errors / trials
         assert (est.ci_low, est.ci_high) == wilson_interval(errors, trials)
 
     def test_takes_only_what_a_run_produced(self):
         assert [f.name for f in fields(BerEstimate) if f.init] == [
-            "errors", "trials", "seed", "stream_key", "block_size", "blocks",
-            "stop_reason"]
-        for derived in ("ber", "ci_low", "ci_high"):
+            "tally", "seed", "stream_key", "block_size", "blocks", "stop_reason"]
+        for derived in ("errors", "trials", "ber", "ci_low", "ci_high"):
             with pytest.raises(TypeError):
-                BerEstimate(7, 1000, 0, (), 1000, 1, STOP_MAX_TRIALS, **{derived: 0.5})
+                BerEstimate(Bernoulli(7, 1000), 0, (), 1000, 1, STOP_MAX_TRIALS,
+                            **{derived: 0.5})
 
     def test_refuses_counts_with_no_rate(self):
         with pytest.raises(InvalidParameterError):
-            BerEstimate(7, 5, 0, (), 5, 1, STOP_MAX_TRIALS)
+            BerEstimate(Bernoulli(7, 5), 0, (), 5, 1, STOP_MAX_TRIALS)
         with pytest.raises(InvalidParameterError):
-            BerEstimate(0, 0, 0, (), 5, 0, STOP_MAX_TRIALS)
+            BerEstimate(Bernoulli(0, 0), 0, (), 5, 0, STOP_MAX_TRIALS)
+
+    def test_tallies_add_counts(self):
+        assert Bernoulli(3, 100) + Bernoulli(4, 28) == Bernoulli(7, 128)
+        assert Bernoulli(7, 1000).interval() == wilson_interval(7, 1000)
 
 
 # The configs whose block kernel is checked draw for draw.
@@ -186,35 +196,35 @@ KERNEL_CONFIGS = {
 
 
 class TestStoppingRule:
-    """``StoppingRule.reason`` on its own: which criterion a count meets."""
+    """``StoppingRule.reason`` on its own: which criterion a tally meets."""
 
     def test_max_trials(self):
         rule = StoppingRule(min_errors=10, max_trials=100)
-        assert rule.reason(0, 100) == STOP_MAX_TRIALS
-        assert rule.reason(5, 99) is None
+        assert rule.reason(Bernoulli(0, 100)) == STOP_MAX_TRIALS
+        assert rule.reason(Bernoulli(5, 99)) is None
 
     def test_max_trials_wins_over_min_errors(self):
         rule = StoppingRule(min_errors=10, max_trials=100)
-        assert rule.reason(50, 100) == STOP_MAX_TRIALS
+        assert rule.reason(Bernoulli(50, 100)) == STOP_MAX_TRIALS
         rule = StoppingRule(min_errors=10, max_trials=100, target_ci_width=10.0)
-        assert rule.reason(50, 100) == STOP_MAX_TRIALS
+        assert rule.reason(Bernoulli(50, 100)) == STOP_MAX_TRIALS
 
     def test_min_errors(self):
         rule = StoppingRule(min_errors=10, max_trials=100)
-        assert rule.reason(10, 50) == STOP_MIN_ERRORS
-        assert rule.reason(9, 50) is None
+        assert rule.reason(Bernoulli(10, 50)) == STOP_MIN_ERRORS
+        assert rule.reason(Bernoulli(9, 50)) is None
 
     def test_ci_width_either_side_of_its_boundary(self):
         # At 10**6 trials a 95% Wilson interval is 0.20025 of the estimate
         # wide with 384 errors and 0.19999 with 385.
         rule = StoppingRule(min_errors=1, max_trials=10**7, target_ci_width=0.2)
-        assert rule.reason(384, 10**6) is None
-        assert rule.reason(385, 10**6) == STOP_CI_WIDTH
+        assert rule.reason(Bernoulli(384, 10**6)) is None
+        assert rule.reason(Bernoulli(385, 10**6)) == STOP_CI_WIDTH
 
     def test_ci_width_waits_for_min_errors(self):
         rule = StoppingRule(min_errors=1000, max_trials=10**7, target_ci_width=0.2)
-        assert rule.reason(385, 10**6) is None
-        assert rule.reason(1000, 10**6) == STOP_CI_WIDTH
+        assert rule.reason(Bernoulli(385, 10**6)) is None
+        assert rule.reason(Bernoulli(1000, 10**6)) == STOP_CI_WIDTH
 
 
 class TestDeterminism:
@@ -309,15 +319,17 @@ class TestDeterminism:
     @pytest.mark.parametrize("sic_mode", [GENIE, DETECTED])
     @pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
     def test_block_kernel_keeps_its_random_streams(self, name, sic_mode):
-        # Same error count and same generator end state as the reference
-        # kernel, for one trial, a chunk and a row past it, and a full block.
+        # Same error count (in a tally of m trials) and same generator end
+        # state as the reference kernel, for one trial, a chunk and a row
+        # past it, and a full block.
         cfg = replace(KERNEL_CONFIGS[name], sic_mode=sic_mode)
         snr = 10 ** (20.0 / 10)
         for user in range(cfg.n_users):
             for m in (1, 2049, 65536):
                 got, want = _block_rng(3, (user, m), 0), _block_rng(3, (user, m), 0)
                 assert (_block_errors(cfg, user, snr, got, m)
-                        == reference_block_errors(cfg, user, snr, want, m)), (user, m)
+                        == Bernoulli(reference_block_errors(cfg, user, snr, want, m), m)), \
+                    (user, m)
                 assert got.bit_generator.state == want.bit_generator.state, (user, m)
 
     def test_pool_holds_at_most_the_cpu_count_of_threads(self, monkeypatch):
@@ -495,7 +507,7 @@ class TestDeterminism:
 
         def held(config, user, snr, b, m, stop):
             if b == 0:
-                return m
+                return Bernoulli(m, m)
             assert stop.wait(timeout=60)
             raise BlockStopped
 
@@ -553,12 +565,84 @@ class TestDeterminism:
         monkeypatch.setattr(engine, "_block_errors", held)
         est = run_ber_point(cfg, 0.0, 1, rule, seed=seed, block_size=m, workers=2)
         assert est == want and est.blocks == 1 and est.stop_reason == STOP_MIN_ERRORS
-        assert outcome == {0: want.errors, 1: "BlockStopped"}
+        assert outcome == {0: want.tally, 1: "BlockStopped"}
         # Block 1 drew one chunk of words, fewer than its cascade alone needs.
         assert drawn == [chunk_words] and chunk_words < m * cfg.users[1].elements
         ref = real_block_rng(seed, (), 1)
         ref.bit_generator.random_raw(chunk_words)
         assert made[1].bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_tallies_merge_in_block_order(self, monkeypatch, workers):
+        # Integer counts add in any order, so only a tally whose ``+`` does
+        # not commute shows the merge order.  Past one worker each even block
+        # finishes only after the odd block next to it.
+        if workers > 1 and (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two pool threads")
+        n_blocks, finished = 6, []
+        done = [threading.Event() for _ in range(n_blocks)]
+
+        def ordered(config, user, snr, b, m, stop):
+            if workers > 1 and b % 2 == 0:
+                assert done[b + 1].wait(timeout=60)
+            finished.append(b)
+            done[b].set()
+            return OrderTally((b,), m)
+
+        monkeypatch.setattr(engine, "_block_rng", lambda seed, stream_key, b: b)
+        monkeypatch.setattr(engine, "_block_errors", ordered)
+        rule = StoppingRule(min_errors=10**9, max_trials=n_blocks * 256)
+        est = run_ber_point(star_config(), 10.0, 0, rule, block_size=256, workers=workers)
+        assert est.tally == OrderTally(tuple(range(n_blocks)), n_blocks * 256)
+        assert (finished == sorted(finished)) == (workers == 1)
+
+
+@dataclass(frozen=True)
+class OrderTally:
+    """A tally with no errors whose ``+`` concatenates its blocks' indices."""
+
+    order: tuple
+    trials: int
+    errors: int = 0
+
+    def __add__(self, other):
+        return OrderTally(self.order + other.order, self.trials + other.trials)
+
+    def interval(self):
+        return 0.0, 1.0
+
+
+class TestEstimatorSeam:
+    """The run path reads a block's result only through its tally, so the
+    conditional estimator of ``tests/oracles.py`` replaces the error count by
+    taking the place of ``engine._block_errors`` alone."""
+
+    @pytest.mark.parametrize("snr_db", [22.5, 27.5])
+    def test_conditional_tally_agrees_with_the_error_count(self, monkeypatch, tmp_path,
+                                                          capsys, snr_db):
+        # fig2 N=50, user 2: independent streams, within 4 joint standard errors.
+        cfg = presets.fig2((50,)).runs[0].config
+        rule = StoppingRule(min_errors=10**9, max_trials=8 * DEFAULT_BLOCK_SIZE)
+        count = run_ber_point(cfg, snr_db, 1, rule, seed=2, stream_key=(0, 1))
+        monkeypatch.setattr(engine, "_block_errors", conditional_block)
+        est = run_ber_point(cfg, snr_db, 1, rule, seed=1, stream_key=(0, 1))
+        assert isinstance(est.tally, ConditionalTally)
+        assert (est.blocks, est.trials, est.stop_reason) == (8, rule.max_trials,
+                                                            STOP_MAX_TRIALS)
+        joint = math.hypot(est.tally.standard_error(),
+                           math.sqrt(count.ber * (1.0 - count.ber) / count.trials))
+        assert abs(est.ber - count.ber) <= STRICT_Z * joint
+        assert est.ci_low < est.ber < est.ci_high and not est.underflow
+        # The point command prints the same estimate: user 2 at the one SNR
+        # value is the cell with stream key (0, 1).
+        path = tmp_path / "fig2_n50.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["point", "--config", str(path), "--snr-db", str(snr_db), "--user", "2",
+                     "--seed", "1", "--min-errors", str(rule.min_errors),
+                     "--max-trials", str(rule.max_trials)]) == 0
+        out = capsys.readouterr().out
+        assert f" ber_mc={est.ber:.12e} ci95=[{est.ci_low:.12e},{est.ci_high:.12e}] " in out
+        assert out.endswith(f" trials={est.trials} errors={est.errors} stop=max_trials\n")
 
 
 class TestPointEstimates:

@@ -25,6 +25,7 @@ from starnoma.engine import (
     CLASSICAL_VARIANT,
     STAR_VARIANT,
     BerEstimate,
+    Bernoulli,
     FigureRun,
     ScenarioConfig,
     StoppingRule,
@@ -253,11 +254,11 @@ class TestConstructorsRefuseNonFinite:
         assert blocks == []
 
     def test_underflow_is_derived_from_errors(self):
-        est = BerEstimate(0, 100, 0, (), 100, 1, "max_trials")
+        est = BerEstimate(Bernoulli(0, 100), 0, (), 100, 1, "max_trials")
         assert est.underflow
-        assert not BerEstimate(3, 100, 0, (), 100, 1, "max_trials").underflow
+        assert not BerEstimate(Bernoulli(3, 100), 0, (), 100, 1, "max_trials").underflow
         with pytest.raises(TypeError):
-            BerEstimate(0, 100, 0, (), 100, 1, "max_trials", underflow=False)
+            BerEstimate(Bernoulli(0, 100), 0, (), 100, 1, "max_trials", underflow=False)
 
 
 class TestCommandLineDefects:
