@@ -17,7 +17,8 @@ so the BER routes run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import exp  # a global name for the quadrature loops
 from typing import Optional, Tuple
 
@@ -104,7 +105,8 @@ class UserAnalyticParams:
     user, so ``zone_elements - own_elements`` is the interference size.
     ``mean`` and ``variance`` (the Gaussian moments of the aligned cascaded
     gain, ``clt_moments``) and ``amplitudes`` (``sign_combinations``) are
-    derived once here; the error-rate routines read them as they are.
+    derived once here, and the routes' other SNR-free numbers at first use
+    (outside equality and hashing; a refusal is raised anew by every call).
     """
 
     index: int
@@ -132,6 +134,28 @@ class UserAnalyticParams:
     def co_zone_elements(self) -> int:
         return self.zone_elements - self.own_elements
 
+    @cached_property
+    def _snr_terms(self) -> Tuple[float, float]:
+        # L (N_zone - N_own), the same-zone leakage per unit of snr / P; sqrt P.
+        return self.overall_gain * self.co_zone_elements, math.sqrt(self.alloc.power)
+
+    @cached_property
+    def _gain_terms(self) -> Tuple[float, float, float, float]:
+        # sigma, m = mu / sigma, Q(m) and the fit's exponent constant (variance > 0).
+        sigma = math.sqrt(self.variance)
+        m = self.mean / sigma
+        return sigma, m, _q(m), -FIT_C - self.mean * self.mean / (2.0 * self.variance)
+
+    @cached_property
+    def _floor(self) -> float:
+        # As the noise P / snr vanishes, 2 rho snr / P tends to 2 / (L N_c).
+        return _closed_form_sum(self, math.sqrt(COHERENT_SNR_FACTOR / self._snr_terms[0]))
+
+    @cached_property
+    def first_stage(self) -> UserAnalyticParams:
+        """User 1's symbol at this user's channel: detected SIC's first stage."""
+        return replace(self, index=0)
+
 
 def sign_combinations(user: int, alloc: PowerAllocation) -> Tuple[float, ...]:
     """All residual amplitudes sqrt(a_k P) +- sqrt(a_{k+1} P) +- ...
@@ -158,11 +182,9 @@ def _root_effective_snr(params: UserAnalyticParams, snr: float) -> float:
     # from counting twice.  The root is taken factor by factor: 2 snr / P
     # overflows for snr past about 9e307, which rules.snr_from_db accepts.
     nonnegative("snr", snr)
-    extra = params.co_zone_elements
-    rho = 1.0 if extra == 0 else 1.0 / (1.0 + params.overall_gain * extra * snr
-                                        / params.alloc.power)
-    return (math.sqrt(COHERENT_SNR_FACTOR * rho)
-            * math.sqrt(snr) / math.sqrt(params.alloc.power))
+    leak, root_power = params._snr_terms  # leak is 0 for a sole occupant only
+    rho = 1.0 if leak == 0.0 else 1.0 / (1.0 + leak * snr / params.alloc.power)
+    return math.sqrt(COHERENT_SNR_FACTOR * rho) * math.sqrt(snr) / root_power
 
 
 def conditional_ber(phi, params: UserAnalyticParams, snr: float):
@@ -320,9 +342,8 @@ def ber_numeric(params: UserAnalyticParams, snr: float) -> float:
         for amp in amps:
             total += _q(amp * mu * root)
         return total / len(amps)
-    sigma = math.sqrt(v)
-    scale, m = sigma * root, mu / sigma
-    qm = _q(m)
+    sigma, m, qm, _ = params._gain_terms
+    scale = sigma * root
     for amp in amps:
         total += _positive_gain_tail(amp * scale, m, qm)
     return total / len(amps)
@@ -345,7 +366,7 @@ def _closed_form_sum(params: UserAnalyticParams, root_snr: float) -> float:
             "tail fit does not cover this allocation")
     # Each exponent is summed left to right, its constant terms first, and
     # the terms in a plain loop, as in ber_numeric.
-    base = -FIT_C - mu * mu / (2.0 * v)
+    base = params._gain_terms[3]
     two_v = 2.0 * v
     total = 0.0
     for amp in amps:
@@ -373,13 +394,10 @@ def ber_asymptotic(params: UserAnalyticParams) -> float:
     Raises :class:`NoErrorFloor` for sole-occupant users, whose error rate
     vanishes with SNR instead of flattening.
     """
-    extra = params.co_zone_elements
-    if extra == 0:
+    if params.co_zone_elements == 0:
         raise NoErrorFloor(f"user {params.index + 1} is the sole occupant of its zone; "
                            "its error rate keeps falling with SNR")
-    # As the noise P / snr vanishes, 2 rho snr / P tends to 2 / (L N_c).
-    return _closed_form_sum(
-        params, math.sqrt(COHERENT_SNR_FACTOR / (params.overall_gain * extra)))
+    return params._floor
 
 
 def imperfect_sic_mixture(ber_own: float, prob_stage_correct: float) -> float:

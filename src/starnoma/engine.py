@@ -88,6 +88,17 @@ class UserSpec:
     classical_distance: Optional[float] = None
 
 
+def _gain(name: str, distance: float, exponent: float, times: float = 1.0) -> float:
+    # Refuses a distance whose path gain (times the hop before's) underflows or overflows.
+    try:
+        gain = times * path_gain(distance, exponent)
+    except OverflowError:
+        gain = math.inf
+    if not 0.0 < gain < math.inf:
+        raise ConfigError(f"{name} must give a finite path gain > 0, got {distance!r}")
+    return gain
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for either system variant; its fields
@@ -106,6 +117,7 @@ class ScenarioConfig:
     sic_mode: str = GENIE
     classical_exponent: float = 2.0
     _allocation: PowerAllocation = field(init=False, repr=False, compare=False)
+    _params: Dict[int, UserAnalyticParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         checked = {
@@ -128,8 +140,14 @@ class ScenarioConfig:
         checked["users"] = tuple(UserSpec(power_coefficient=a, **u)
                                  for u, a in zip(users, coeffs))
         checked["_allocation"] = PowerAllocation(coeffs, checked["transmit_power"])
-        for i, u in enumerate(users):
-            if checked["variant"] == CLASSICAL_VARIANT and u["classical_distance"] is None:
+        checked["_params"] = {}  # analytic_params, by user, built on first use
+        bs = _gain("system.bs_ris_distance", checked["bs_ris_distance"], checked["bs_exponent"])
+        for i, u in enumerate(users):  # each user's cascaded gain, as overall_gain forms it
+            _gain(f"users[{i}].distance", u["distance"], checked["ris_user_exponent"], bs)
+            if u["classical_distance"] is not None:
+                _gain(f"users[{i}].classical_distance", u["classical_distance"],
+                      checked["classical_exponent"])
+            elif checked["variant"] == CLASSICAL_VARIANT:
                 raise ConfigError(f"users[{i}].classical_distance is required "
                                   "for the classical variant")
         for name, value in checked.items():
@@ -166,15 +184,14 @@ class ScenarioConfig:
         return path_gain(self.users[user].classical_distance, self.classical_exponent)
 
     def analytic_params(self, user: int) -> UserAnalyticParams:
+        """``user``'s analytic parameters, built once per config and user."""
         if self.variant != STAR_VARIANT:
             raise ConfigError("analytic parameters exist for the surface variant only")
-        return UserAnalyticParams(
-            index=user,
-            alloc=self._allocation,
-            overall_gain=self.overall_gain(user),
-            own_elements=self.users[user].elements,
-            zone_elements=self.zone_elements(user),
-        )
+        if user not in self._params:
+            self._params[user] = UserAnalyticParams(
+                index=user, alloc=self._allocation, overall_gain=self.overall_gain(user),
+                own_elements=self.users[user].elements, zone_elements=self.zone_elements(user))
+        return self._params[user]
 
 
 def ordering_warnings(config: ScenarioConfig) -> Tuple[str, ...]:
@@ -597,7 +614,7 @@ def _analytic_cell(config: ScenarioConfig, user: int, snr: float):
     # cancellation decodes user 1's symbol first, at the user's channel.
     params = config.analytic_params(user) if config.variant == STAR_VARIANT else None
     detected = params is not None and config.sic_mode == DETECTED and user > 0
-    stage = replace(params, index=0) if detected else None
+    stage = params.first_stage if detected else None
     routes, notes = [], {}  # each note once, in order
     for name, route in ANALYTIC_ROUTES:
         try:

@@ -549,9 +549,84 @@ class TestDerivedFields:
             ber_numeric(params, 100.0)
             ber_asymptotic(params)
         ber_imperfect_sic(user2, x1, 100.0)
+        assert set(vars(user2)) > {f.name for f in fields(user2)}  # numbers kept
         assert [user2, x1] == twins
         assert [hash(user2), hash(x1)] == hashes == [hash(t) for t in twins]
         assert [repr(user2), repr(x1)] == [repr(t) for t in twins]
+
+    # One to four users, sole and leaky users, a zero-element own subsurface
+    # (no variance), transmit power other than 1, and a stage made with
+    # replace; every SNR is a dB value's linear ratio.
+    SNR_FREE = [
+        *[make_params(index=k, coeffs=c, gain=FIG2_GAIN_U1, own=own, zone=zone, power=p)
+          for c in ((1.0,), (0.7, 0.3), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1))
+          for k in range(len(c)) for own, zone in ((25, 25), (25, 50), (0, 10), (16, 64))
+          for p in (1.0, 2.5)],
+        replace(make_params(own=25, zone=50, power=2.5), index=0),
+    ]
+    SNRS = [0.0, *(10.0 ** (db / 10.0) for db in (0.3, 7.1, 13.7, 26.9, 41.3, 63.0))]
+
+    def test_snr_free_numbers_equal_their_formulas(self):
+        # Each kept number is formed as the route formed it, bit for bit.
+        for params in self.SNR_FREE:
+            for p in (params, params.first_stage):
+                mu, v, extra, power = p.mean, p.variance, p.co_zone_elements, p.alloc.power
+                assert p._snr_terms == (p.overall_gain * extra, math.sqrt(power))
+                for snr in self.SNRS:
+                    rho = 1.0 if extra == 0 else 1.0 / (
+                        1.0 + p.overall_gain * extra * snr / power)
+                    assert analytic._root_effective_snr(p, snr) == (
+                        math.sqrt(2.0 * rho) * math.sqrt(snr) / math.sqrt(power)), (p, snr)
+                if v == 0.0:
+                    continue
+                sigma = math.sqrt(v)
+                assert p._gain_terms == (sigma, mu / sigma, analytic._q(mu / sigma),
+                                         -FIT_C - mu * mu / (2.0 * v))
+                if extra and min(p.amplitudes) > 0.0:
+                    assert ber_asymptotic(p) == analytic._closed_form_sum(
+                        p, math.sqrt(2.0 / (p.overall_gain * extra)))
+
+    def test_kept_numbers_give_the_first_call_values(self):
+        # A route reads the same value from a fresh object as from one whose
+        # numbers are already kept, and a stage is the one replace builds.
+        def values(p):
+            out = []
+            for route, args in [(ber_numeric, (s,)) for s in self.SNRS] + [
+                    (ber_closed_form, (s,)) for s in self.SNRS] + [(ber_asymptotic, ())]:
+                try:
+                    out.append(route(p, *args))
+                except (InvalidParameterError, NoErrorFloor) as exc:
+                    out.append(str(exc))
+            return out
+
+        for params in self.SNR_FREE:
+            given = {f.name: getattr(params, f.name) for f in fields(params) if f.init}
+            first = values(params)
+            assert values(params) == first == values(UserAnalyticParams(**given))
+            assert params.first_stage is params.first_stage
+            assert params.first_stage == replace(params, index=0)
+
+    def test_refusals_are_raised_by_each_call(self):
+        sole = make_params(own=25, zone=25)
+        flat = make_params(own=0, zone=10)
+        mixed = make_params(index=0, coeffs=(0.5, 0.3, 0.2), own=25, zone=50)
+        assert min(mixed.amplitudes) < 0.0
+        for p in (sole, flat, mixed):  # construction derives nothing that can refuse
+            assert set(vars(p)) == {f.name for f in fields(p)}
+        for _ in range(2):
+            with pytest.raises(NoErrorFloor, match="sole occupant"):
+                ber_asymptotic(sole)
+            for route, args in ((ber_closed_form, (100.0,)), (ber_asymptotic, ())):
+                with pytest.raises(InvalidParameterError, match="variance"):
+                    route(flat, *args)
+                with pytest.raises(InvalidParameterError, match="non-positive amplitude"):
+                    route(mixed, *args)
+            for p in (sole, flat, mixed):
+                for route in (ber_closed_form, ber_numeric):
+                    with pytest.raises(InvalidParameterError, match="snr"):
+                        route(p, -1.0)
+            with pytest.raises(InvalidParameterError, match="snr"):
+                ber_imperfect_sic(sole, sole.first_stage, math.nan)
 
     def test_zero_elements_take_the_zero_variance_branches(self, monkeypatch):
         def gaussian_gain_tail(*args):

@@ -666,6 +666,37 @@ class TestPointEstimates:
         run_sweep(FigureRun("", cfg, SNR_AXIS, [0.0, 10.0], [0, 1]), rule)
         assert built == []
 
+    def test_sweep_builds_one_params_per_config_and_user(self, monkeypatch):
+        # fig3 at one split and size plus fig2's N=25 run: 84 cells, once
+        # 105 params (one per cell, and a stage per detected cell), now 5:
+        # fig2's two users, fig3's user 2 under each SIC mode and its stage.
+        built = []
+        post_init = analytic.UserAnalyticParams.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(analytic.UserAnalyticParams, "__post_init__", counted)
+        monkeypatch.setattr(engine, "_block_errors",
+                            lambda config, user, snr, rng, m, stop=None: Bernoulli(1, m))
+        runs = presets.fig3([(0.7, 0.3)], [8]).runs + presets.fig2(element_counts=[25]).runs[:1]
+        rule = StoppingRule(min_errors=1, max_trials=1024)
+        cells = [cell for run in runs for cell in run_sweep(run, rule).cells]
+        assert (len(cells), len(built)) == (84, 5)
+        detected = runs[1].config.analytic_params(1)
+        assert built[1:3] == [detected, detected.first_stage]
+
+    def test_params_change_no_config_equality_or_hash(self):
+        cfg, twin = (star_config(same_zone=True, sic_mode=DETECTED) for _ in range(2))
+        hashed = hash(cfg)
+        params = [cfg.analytic_params(k) for k in range(2)]
+        assert all(cfg.analytic_params(k) is p for k, p in enumerate(params))
+        assert cfg == twin and hash(cfg) == hashed == hash(twin) and repr(cfg) == repr(twin)
+        assert replace(cfg, sic_mode=GENIE).analytic_params(1) is not params[1]
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            cfg.analytic_params(-1)
+
     def test_noise_dominated_limit(self):
         # The 95% form stopped after one 65536-trial block.
         cfg = star_config()

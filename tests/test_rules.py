@@ -633,6 +633,34 @@ def test_refused_sweep_value_creates_no_directory(tmp_path, capsys, blocks):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("command", ["point", "sweep"])
+@pytest.mark.parametrize("distance", [1e200, 1e-200])  # the path gain underflows, overflows
+@pytest.mark.parametrize("section, index, field, variant", [
+    ("system", None, "bs_ris_distance", "star-ris-noma"),
+    ("users", 1, "classical_distance", "classical-noma"),
+])
+def test_distance_without_a_path_gain_is_named(command, distance, section, index, field,
+                                               variant, tmp_path, capsys, blocks):
+    doc = with_field(section, field, distance, index)
+    doc["system"]["variant"] = variant
+    path = write_config(tmp_path / "c.json", doc)
+    out = ["--out", str(tmp_path / "new" / "x.csv")] if command == "sweep" else \
+        ["--snr-db", "10"]
+    rc, err = run_cli([command, "--config", path, *out, *FAST], capsys)
+    named = f"{section}.{field}" if index is None else f"{section}[{index}].{field}"
+    assert rc == 1 and err.startswith(f"error: {named} must give a finite path gain > 0")
+    assert "Traceback" not in err and blocks == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_cascaded_gain_is_checked_per_user():
+    # Each hop's gain is a float > 0, but their product underflows to 0.
+    with pytest.raises(ConfigError, match=r"users\[0\]\.distance must give a finite path"):
+        ScenarioConfig(variant=STAR_VARIANT, bs_ris_distance=1e100,
+                       users=(UserSpec(1e100, "transmission", 8, 1.0),))
+    assert star_config(distance=1e100).overall_gain(0) > 0.0
+
+
 def test_sweep_option_names_the_axis_it_chose(tmp_path, capsys, blocks):
     doc = json.loads(json.dumps(CONFIG))
     doc["users"].append({**doc["users"][1], "power_coefficient": 0.1})
